@@ -21,8 +21,10 @@
 //! - [`ClockMode::Virtual`] — a deterministic virtual clock. The runtime's
 //!   queues, batcher, and admission controller are driven by a
 //!   time-ordered event loop: bitwise-reproducible across runs, and
-//!   cross-validated against `sim::engine` (see
-//!   `tests/runtime_props.rs`). This is what searches and tests use.
+//!   cross-validated against the simulator (see
+//!   `tests/runtime_props.rs`). This is what searches and tests use;
+//!   [`max_qps_under_sla_live`] runs the simulator's own knee search
+//!   (`hercules_sim::search_knee`) with runtime probes.
 //! - [`ClockMode::Wall`] — a calibrated busy-wait wall clock. Worker
 //!   pools are real OS threads that spin for each batch's modeled service
 //!   time, so benches observe genuine concurrency effects: queue

@@ -8,6 +8,7 @@ use hercules_hw::server::ServerSpec;
 use hercules_sim::{summarize_load, Buckets, LatencyBreakdown, LoadSummary, SimReport};
 
 use crate::config::{ClockMode, RuntimeConfig};
+use crate::serve::run_window;
 use crate::telemetry::{StageKind, WorkerTelemetry};
 use crate::trace::{TraceEvent, TraceRing};
 
@@ -232,12 +233,7 @@ pub(crate) fn assemble(
     totals: RunTotals,
 ) -> RuntimeReport {
     let duration_s = cfg.duration.as_secs_f64();
-    let warmup_start = cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-    let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-    let measure_end = cfg.duration.saturating_sub(margin).max(warmup_start);
-    let window_s = (measure_end.saturating_sub(warmup_start))
-        .as_secs_f64()
-        .max(1e-9);
+    let window_s = run_window(cfg).span_s();
 
     // Merge: histograms and buckets fold exactly; scalars sum.
     let mut e2e = LatencyHistogram::default_latency();

@@ -3,11 +3,11 @@
 
 use std::sync::OnceLock;
 
-use hercules_common::units::{Qps, SimTime};
+use hercules_common::units::Qps;
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
-use hercules_sim::{build_topology, PlacementPlan, PlanError, Topology};
+use hercules_sim::{build_topology, MeasureWindow, PlacementPlan, PlanError, Topology};
 use hercules_workload::generator::QueryStream;
 use hercules_workload::query::Query;
 
@@ -202,38 +202,14 @@ impl ServingRuntime {
     }
 }
 
-/// The run's measurement window, derived from the configuration exactly
-/// the way `sim::engine` derives it (so the two backends measure the same
-/// query population).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunWindow {
-    pub horizon: SimTime,
-    pub warmup_start: SimTime,
-    pub measure_end: SimTime,
-}
-
-impl RunWindow {
-    pub fn of(cfg: &RuntimeConfig) -> Self {
-        let horizon = SimTime::ZERO + cfg.duration;
-        let warmup_start =
-            SimTime::ZERO + cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-        let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-        let measure_end = SimTime::ZERO + cfg.duration.saturating_sub(margin);
-        RunWindow {
-            horizon,
-            warmup_start,
-            measure_end: measure_end.max(warmup_start),
-        }
-    }
-
-    /// Whether a query arriving at `t` is measured.
-    pub fn measures(&self, t: SimTime) -> bool {
-        t >= self.warmup_start && t < self.measure_end
-    }
+/// The run's measurement window: the simulator's [`MeasureWindow`], so the
+/// two backends measure the same query population.
+pub(crate) fn run_window(cfg: &RuntimeConfig) -> MeasureWindow {
+    MeasureWindow::new(cfg.duration, cfg.warmup_fraction, cfg.drain_margin)
 }
 
 /// Generates the run's arrivals: the same deterministic stream the
 /// simulator consumes.
-pub(crate) fn arrivals(cfg: &RuntimeConfig, offered: Qps, window: &RunWindow) -> Vec<Query> {
+pub(crate) fn arrivals(cfg: &RuntimeConfig, offered: Qps, window: &MeasureWindow) -> Vec<Query> {
     QueryStream::paper(offered, cfg.seed).take_until(window.horizon)
 }

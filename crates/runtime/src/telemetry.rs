@@ -7,7 +7,7 @@
 //! are `hercules_common::stats::LatencyHistogram` — fixed log-scale
 //! buckets whose merge is exact in any order — and the resource buckets
 //! are the simulator's own [`Buckets`], so the merged run summarizes into
-//! power/activity figures exactly the way `sim::engine` does.
+//! power/activity figures exactly the way the simulator does.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -5,8 +5,10 @@
 //! telemetry — with a time-ordered event loop instead of OS threads.
 //! Every decision is a pure function of the configuration and the seeded
 //! query stream, so runs are bitwise-reproducible: this is the mode
-//! searches and tests use, and the one cross-validated against
-//! `sim::engine` (`tests/runtime_props.rs`).
+//! searches and tests use, and the one cross-validated against the
+//! simulator (`tests/runtime_props.rs`). Arrivals, sub-query splits and
+//! the measurement window ([`hercules_sim::MeasureWindow`]) are the
+//! simulator's own, so both count the same query population.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -15,7 +17,7 @@ use std::sync::Arc;
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::cost::pcie_transfer_time;
 use hercules_hw::server::ServerSpec;
-use hercules_sim::{split_sizes, Topology};
+use hercules_sim::{split_sizes, MeasureWindow, Topology};
 use hercules_workload::query::Query;
 
 use crate::admission::AdmissionController;
@@ -23,7 +25,7 @@ use crate::config::RuntimeConfig;
 use crate::fault::{degraded_latency, FaultBook, RuntimeControls, Supervisor};
 use crate::observe::{PlaneState, RuntimeObserver, StageState};
 use crate::report::{assemble, RunTotals, RuntimeReport};
-use crate::serve::{arrivals, RunWindow};
+use crate::serve::{arrivals, run_window};
 use crate::stage::{BackKind, QueryTable, Stages, Sub, FLAG_DEGRADED, FLAG_EXPIRED};
 use crate::telemetry::{StageKind, WorkerTelemetry};
 use crate::trace::{SpanKind, TraceEvent, TraceRing, TraceSampler, DISPATCH_TID};
@@ -89,7 +91,7 @@ struct Batch {
 struct Exec<'a> {
     stages: Stages<'a>,
     cfg: &'a RuntimeConfig,
-    window: RunWindow,
+    window: MeasureWindow,
     table: QueryTable,
     sizes: Vec<u32>,
     heap: BinaryHeap<Entry>,
@@ -137,7 +139,7 @@ impl<'a> Exec<'a> {
         cfg: &'a RuntimeConfig,
         queries: &[Query],
     ) -> Exec<'a> {
-        let window = RunWindow::of(cfg);
+        let window = run_window(cfg);
         let table = QueryTable::new(queries);
         let stages = Stages::of(topo, server);
 
@@ -722,7 +724,7 @@ pub(crate) fn run(
     offered: Qps,
     observer: Option<&mut RuntimeObserver>,
 ) -> RuntimeReport {
-    let window = RunWindow::of(cfg);
+    let window = run_window(cfg);
     let queries = arrivals(cfg, offered, &window);
     run_trace(topo, server, cfg, &queries, offered, observer)
 }
@@ -738,7 +740,7 @@ pub(crate) fn run_trace(
     offered: Qps,
     observer: Option<&mut RuntimeObserver>,
 ) -> RuntimeReport {
-    let window = RunWindow::of(cfg);
+    let window = run_window(cfg);
     assert!(
         queries.last().map_or(true, |q| q.arrival <= window.horizon),
         "trace arrivals must lie within the configured horizon"

@@ -51,7 +51,7 @@ use crate::memory::{EmbeddingArena, GatherScratch};
 use crate::observe::{PlaneState, RuntimeObserver, StageState};
 use crate::queue::{PopResult, SyncQueue};
 use crate::report::{assemble, RunTotals, RuntimeReport};
-use crate::serve::{arrivals, RunWindow};
+use crate::serve::{arrivals, run_window};
 use crate::stage::{BackKind, QueryTable, Retired, Stages, Sub, FLAG_DEGRADED, FLAG_EXPIRED};
 use crate::telemetry::{thread_allocs, StageKind, TelemetrySlot, WorkerTelemetry};
 use crate::trace::{SpanKind, TraceEvent, TraceRing, TraceSampler, DISPATCH_TID};
@@ -229,7 +229,7 @@ pub(crate) fn run(
     arena: Option<&EmbeddingArena>,
     observer: Option<&mut RuntimeObserver>,
 ) -> RuntimeReport {
-    let window = RunWindow::of(cfg);
+    let window = run_window(cfg);
     let queries = arrivals(cfg, offered, &window);
     run_trace(topo, server, cfg, &queries, offered, arena, observer)
 }
@@ -249,7 +249,7 @@ pub(crate) fn run_trace(
     let ClockMode::Wall { time_scale } = cfg.clock else {
         unreachable!("wall executor only runs in wall mode");
     };
-    let window = RunWindow::of(cfg);
+    let window = run_window(cfg);
     assert!(
         queries.last().map_or(true, |q| q.arrival <= window.horizon),
         "trace arrivals must lie within the configured horizon"

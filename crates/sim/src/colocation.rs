@@ -1,12 +1,12 @@
-//! Multi-tenant co-location: several recommendation models served from one
-//! server over shared inference-thread pools and a shared PCIe link.
+//! The simulator's discrete-event engine: one or more recommendation models
+//! served from one server over shared inference-thread pools and a shared
+//! PCIe link.
 //!
 //! The paper provisions whole servers per workload; Hera-style multi-tenant
 //! serving recovers the stranded capacity by packing tenants onto shared
-//! servers at bounded tail-latency cost. This module generalizes the
-//! dedicated discrete-event engine (`crate::engine`): per-tenant dispatch
-//! queues feed the shared front/back/GPU pools through share-weighted
-//! deficit round-robin, and every tenant's service time is derated by
+//! servers at bounded tail-latency cost. Per-tenant dispatch queues feed the
+//! shared front/back/GPU pools through share-weighted deficit round-robin,
+//! and every tenant's service time is derated by
 //! [`hercules_hw::cost::colocation_derate`] to model LLC and
 //! memory-bandwidth interference between co-located models. The derate is
 //! **load-dependent**: each dispatch measures the co-runners' aggregate
@@ -15,11 +15,11 @@
 //! co-tenant costs only the LLC-pollution floor while a bandwidth-saturating
 //! one charges the full per-tenant penalty.
 //!
-//! **Dedicated-path equivalence.** A single-tenant config is bit-identical
-//! to [`crate::engine::simulate`]: the derating factor is exactly `1.0`,
-//! tenant 0's query stream is the dedicated stream
-//! ([`QueryStream::tenant`] with index 0), and round-robin over one queue
-//! is FIFO. `crates/sim/tests/colocation_props.rs` asserts this bitwise.
+//! **A dedicated server is the one-tenant case.** [`crate::simulate`] runs
+//! this engine with a single unit-share tenant: the derating factor is then
+//! exactly `1.0`, tenant 0's query stream is the dedicated stream
+//! ([`QueryStream::tenant`] with index 0), and round-robin over one queue is
+//! FIFO. `tests/golden_sim.rs` pins the reports bit for bit.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -30,29 +30,45 @@ use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_workload::generator::QueryStream;
 
-use crate::config::{ColocationConfig, PlacementPlan, PlanError};
-use crate::engine::{split_sizes, summarize_load, Buckets, HeapEntry, LoadSummary, QueryRec};
+use crate::config::{ColocationConfig, PlacementPlan, PlanError, SimConfig};
+use crate::engine::{split_iter, summarize_load, Buckets, HeapEntry, LoadSummary, MeasureWindow};
 use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
 use crate::service::{build_topology, BackStage, Topology};
 
-/// A sub-query tagged with its tenant.
-#[derive(Debug, Clone, Copy)]
-struct CoSub {
+/// Per-query record, indexed by the query's position in the merged
+/// arrival order of all tenants.
+#[derive(Debug, Clone, Copy, Default)]
+struct QueryRec {
+    arrival: SimTime,
     tenant: u32,
+    size: u32,
+    remaining: u32,
+    n_subs: u32,
+    queuing: SimDuration,
+    loading: SimDuration,
+    inference: SimDuration,
+}
+
+/// A sub-query of query `query` (a global index into the query records).
+#[derive(Debug, Clone, Copy)]
+struct Sub {
     query: u32,
     items: u32,
     ready: SimTime,
 }
 
+/// A fused GPU batch of one tenant; its sub-queries are
+/// `batch_subs[first..end]`.
 #[derive(Debug)]
-struct CoBatch {
+struct Batch {
     tenant: u32,
-    subs: Vec<CoSub>,
+    first: usize,
+    end: usize,
     items: u32,
     load_start: SimTime,
     load_dur: SimDuration,
     /// Derated GPU compute time, fixed at launch: the load-dependent
-    /// interference factor evolves between `LoadDone` and `GpuDone`, so the
+    /// interference factor evolves between `Loaded` and `GpuServed`, so the
     /// completion handler must attribute the duration that was actually
     /// scheduled, not recompute it.
     compute: SimDuration,
@@ -60,11 +76,10 @@ struct CoBatch {
 
 #[derive(Debug)]
 enum Ev {
-    Arrival { tenant: u32, query: u32 },
-    FrontDone { thread: u32, sub: CoSub },
-    BackDone { thread: u32, sub: CoSub },
-    LoadDone { ctx: u32, batch: usize },
-    GpuDone { ctx: u32, batch: usize },
+    FrontServed { thread: u32, sub: Sub },
+    BackServed { thread: u32, sub: Sub },
+    Loaded { ctx: u32, batch: usize },
+    GpuServed { ctx: u32, batch: usize },
 }
 
 /// Share-weighted deficit round-robin over tenant queues.
@@ -95,6 +110,10 @@ impl WeightedRr {
     /// index), refilling when every backlogged tenant is spent. Returns
     /// `None` when nothing is backlogged.
     fn pick(&mut self, backlogged: impl Fn(usize) -> bool) -> Option<usize> {
+        if self.credit.len() == 1 {
+            // One queue: credit never changes which queue is served.
+            return backlogged(0).then_some(0);
+        }
         if !(0..self.credit.len()).any(&backlogged) {
             return None;
         }
@@ -148,76 +167,117 @@ impl WeightedRr {
 }
 
 /// Per-tenant measurement state.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TenantStats {
     latency: PercentileTracker,
     completed: u64,
     completed_total: u64,
     measured_arrivals: u64,
     total_arrivals: u64,
+    in_flight: u64,
     sum_queuing: f64,
     sum_loading: f64,
     sum_inference: f64,
 }
 
+/// The server-wide figures every report of one run shares.
+struct ServerFigures {
+    load: LoadSummary,
+    energy_per_query: Joules,
+    front_idle_fraction: f64,
+    window_s: f64,
+}
+
 impl TenantStats {
-    fn new() -> Self {
-        TenantStats {
-            latency: PercentileTracker::new(),
-            completed: 0,
-            completed_total: 0,
-            measured_arrivals: 0,
-            total_arrivals: 0,
-            sum_queuing: 0.0,
-            sum_loading: 0.0,
-            sum_inference: 0.0,
+    fn report(&mut self, offered: Qps, server: &ServerFigures) -> SimReport {
+        let completed = self.completed;
+        let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
+        // The mean sums samples in completion order, so take it before the
+        // quantiles sort them.
+        let mean_latency = SimDuration::from_secs_f64(self.latency.mean());
+        let (p50, p95, p99) = (
+            to_dur(self.latency.p50()),
+            to_dur(self.latency.p95()),
+            to_dur(self.latency.p99()),
+        );
+        let per = |sum: f64| {
+            if completed == 0 {
+                SimDuration::ZERO
+            } else {
+                SimDuration::from_secs_f64(sum / completed as f64)
+            }
+        };
+        SimReport {
+            offered,
+            achieved: Qps(completed as f64 / server.window_s),
+            measured_arrivals: self.measured_arrivals,
+            completed,
+            total_arrivals: self.total_arrivals,
+            completed_total: self.completed_total,
+            in_flight_at_horizon: self.in_flight,
+            mean_latency,
+            p50,
+            p95,
+            p99,
+            mean_power: server.load.mean_power,
+            peak_power: server.load.peak_power,
+            energy_per_query: server.energy_per_query,
+            cpu_activity: server.load.cpu_activity,
+            mem_activity: server.load.mem_activity,
+            gpu_activity: server.load.gpu_activity,
+            pcie_activity: server.load.pcie_activity,
+            front_idle_fraction: server.front_idle_fraction,
+            breakdown: LatencyBreakdown {
+                queuing: per(self.sum_queuing),
+                loading: per(self.sum_loading),
+                inference: per(self.sum_inference),
+            },
         }
     }
 }
 
-struct CoEngine<'a> {
+struct Engine<'a> {
     topos: &'a [Topology],
     server: &'a ServerSpec,
-    /// Number of co-located tenants (1 disables derating entirely).
-    n_tenants: u32,
     /// Peak DRAM channel bandwidth in bytes/s, the normalizer for the
     /// co-runner memory-intensity estimate.
     peak_chan_bw: f64,
     /// Cumulative host DRAM channel bytes issued per tenant, the basis of
     /// the load-dependent interference estimate.
     chan_bytes_cum: Vec<f64>,
-    horizon: SimTime,
-    warmup_start: SimTime,
-    measure_end: SimTime,
+    window: MeasureWindow,
     heap: BinaryHeap<HeapEntry<Ev>>,
     seq: u64,
-    queries: Vec<Vec<QueryRec>>,
-    sizes: Vec<Vec<u32>>,
+    /// Every tenant's queries, merged in arrival order.
+    queries: Vec<QueryRec>,
     // Shared host front pool over per-tenant dispatch queues.
-    front_queues: Vec<VecDeque<CoSub>>,
+    front_queues: Vec<VecDeque<Sub>>,
     front_free: Vec<u32>,
     front_rr: WeightedRr,
     // Shared host back pool (S-D dense stage).
-    back_queues: Vec<VecDeque<CoSub>>,
+    back_queues: Vec<VecDeque<Sub>>,
     back_free: Vec<u32>,
     back_rr: WeightedRr,
     // Shared GPU stage: per-tenant fusion buffers (fusion never crosses
     // tenants — the batches run different models), shared contexts + link.
-    fusion_bufs: Vec<VecDeque<CoSub>>,
+    fusion_bufs: Vec<VecDeque<Sub>>,
     gpu_free: Vec<u32>,
     gpu_rr: WeightedRr,
     pcie_free: SimTime,
-    batches: Vec<CoBatch>,
+    batches: Vec<Batch>,
+    batch_subs: Vec<Sub>,
     // Metrics.
     tenants: Vec<TenantStats>,
-    agg_latency: PercentileTracker,
+    /// Latency population over all tenants; only kept with more than one
+    /// tenant (otherwise it is tenant 0's).
+    agg_latency: Option<PercentileTracker>,
     buckets: Buckets,
     front_idle_weighted: f64,
     front_busy_weight: f64,
     total_nmp_j: f64,
 }
 
-impl<'a> CoEngine<'a> {
+impl<'a> Engine<'a> {
     fn push(&mut self, time: SimTime, ev: Ev) {
         self.seq += 1;
         self.heap.push(HeapEntry {
@@ -232,7 +292,8 @@ impl<'a> CoEngine<'a> {
     /// cumulative channel traffic averaged over elapsed simulated time, as
     /// a fraction of peak channel bandwidth. Exactly 1.0 for one tenant.
     fn derate_for(&self, tenant: usize, now: SimTime) -> f64 {
-        if self.n_tenants <= 1 {
+        let n = self.topos.len();
+        if n <= 1 {
             return 1.0;
         }
         let others: f64 = self
@@ -243,7 +304,7 @@ impl<'a> CoEngine<'a> {
             .map(|(_, b)| b)
             .sum();
         let intensity = others / now.as_secs_f64().max(1e-9) / self.peak_chan_bw;
-        colocation_derate(self.n_tenants, intensity)
+        colocation_derate(n as u32, intensity)
     }
 
     /// Service duration under multi-tenant interference. Guarded so the
@@ -256,17 +317,27 @@ impl<'a> CoEngine<'a> {
         }
     }
 
-    fn split(&self, tenant: usize, query_idx: u32, now: SimTime) -> Vec<CoSub> {
-        let size = self.sizes[tenant][query_idx as usize];
-        split_sizes(size, self.topos[tenant].split_batch)
-            .into_iter()
-            .map(|items| CoSub {
-                tenant: tenant as u32,
-                query: query_idx,
-                items,
-                ready: now,
-            })
-            .collect()
+    /// Splits arriving query `q` into sub-queries and queues them at the
+    /// first stage of its tenant's pipeline.
+    fn arrive(&mut self, q: u32, now: SimTime) {
+        let rec = &mut self.queries[q as usize];
+        let t = rec.tenant as usize;
+        let topo = &self.topos[t];
+        let subs = split_iter(rec.size, topo.split_batch);
+        rec.remaining = subs.len() as u32;
+        rec.n_subs = subs.len() as u32;
+        let subs = subs.map(|items| Sub {
+            query: q,
+            items,
+            ready: now,
+        });
+        if topo.front.is_some() {
+            self.front_queues[t].extend(subs);
+            self.schedule_front(now);
+        } else {
+            self.fusion_bufs[t].extend(subs);
+            self.try_launch_gpu(now);
+        }
     }
 
     fn schedule_front(&mut self, now: SimTime) {
@@ -285,7 +356,7 @@ impl<'a> CoEngine<'a> {
             let factor = self.derate_for(t, now);
             let svc_latency = Self::derated(cost.latency, factor);
             let wait = now.saturating_since(sub.ready);
-            let rec = &mut self.queries[t][sub.query as usize];
+            let rec = &mut self.queries[sub.query as usize];
             let nsubs = rec.n_subs.max(1) as u64;
             rec.queuing += wait / nsubs;
             rec.inference += svc_latency / nsubs;
@@ -298,7 +369,7 @@ impl<'a> CoEngine<'a> {
             self.front_idle_weighted += cost.idle_fraction * busy_s;
             self.front_busy_weight += busy_s;
             self.chan_bytes_cum[t] += cost.channel_bytes;
-            self.push(now + svc_latency, Ev::FrontDone { thread, sub });
+            self.push(now + svc_latency, Ev::FrontServed { thread, sub });
         }
     }
 
@@ -320,14 +391,15 @@ impl<'a> CoEngine<'a> {
             let factor = self.derate_for(t, now);
             let svc_latency = Self::derated(cost.latency, factor);
             let wait = now.saturating_since(sub.ready);
-            let nsubs = self.queries[t][sub.query as usize].n_subs.max(1) as u64;
-            self.queries[t][sub.query as usize].queuing += wait / nsubs;
-            self.queries[t][sub.query as usize].inference += svc_latency / nsubs;
+            let rec = &mut self.queries[sub.query as usize];
+            let nsubs = rec.n_subs.max(1) as u64;
+            rec.queuing += wait / nsubs;
+            rec.inference += svc_latency / nsubs;
             let b = self.buckets.index(now);
             self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64() * factor;
             self.buckets.chan_bytes[b] += cost.channel_bytes;
             self.chan_bytes_cum[t] += cost.channel_bytes;
-            self.push(now + svc_latency, Ev::BackDone { thread, sub });
+            self.push(now + svc_latency, Ev::BackServed { thread, sub });
         }
     }
 
@@ -348,28 +420,19 @@ impl<'a> CoEngine<'a> {
             else {
                 unreachable!("uniform tenant shapes");
             };
-            let fusion_limit = *fusion_limit;
-            let bytes_per_item = *bytes_per_item;
             let ctx = self.gpu_free.pop().expect("non-empty");
             let buf = &mut self.fusion_bufs[t];
-            let mut subs = Vec::new();
+            let first = self.batch_subs.len();
             let mut items = 0u32;
-            match fusion_limit {
-                None => {
-                    let sub = buf.pop_front().expect("backlogged");
-                    items = sub.items;
-                    subs.push(sub);
+            // Without a fusion limit every launch carries one sub-query.
+            let limit = fusion_limit.unwrap_or(0);
+            while let Some(next) = buf.front() {
+                if self.batch_subs.len() > first && items + next.items > limit {
+                    break;
                 }
-                Some(limit) => {
-                    while let Some(next) = buf.front() {
-                        if !subs.is_empty() && items + next.items > limit {
-                            break;
-                        }
-                        let sub = buf.pop_front().expect("non-empty");
-                        items += sub.items;
-                        subs.push(sub);
-                    }
-                }
+                items += next.items;
+                self.batch_subs.push(*next);
+                buf.pop_front();
             }
             let gpu = self
                 .server
@@ -383,91 +446,89 @@ impl<'a> CoEngine<'a> {
             self.pcie_free = load_start + load_dur;
             let b = self.buckets.index(load_start);
             self.buckets.pcie_s[b] += load_dur.as_secs_f64();
-            let batch_id = self.batches.len();
-            self.batches.push(CoBatch {
+            let batch = self.batches.len();
+            self.batches.push(Batch {
                 tenant: t as u32,
-                subs,
+                first,
+                end: self.batch_subs.len(),
                 items,
                 load_start,
                 load_dur,
                 compute: SimDuration::ZERO,
             });
-            self.push(
-                load_start + load_dur,
-                Ev::LoadDone {
-                    ctx,
-                    batch: batch_id,
-                },
-            );
+            self.push(load_start + load_dur, Ev::Loaded { ctx, batch });
         }
     }
 
-    fn complete_sub(&mut self, sub: &CoSub, now: SimTime) {
-        let t = sub.tenant as usize;
-        let rec = &mut self.queries[t][sub.query as usize];
+    fn complete_sub(&mut self, sub: &Sub, now: SimTime) {
+        let rec = &mut self.queries[sub.query as usize];
         rec.remaining -= 1;
-        if rec.remaining == 0 {
-            let stats = &mut self.tenants[t];
-            stats.completed_total += 1;
-            let lat = now.saturating_since(rec.arrival);
-            if rec.arrival >= self.warmup_start && rec.arrival < self.measure_end {
-                stats.completed += 1;
-                let lat_s = lat.as_secs_f64();
-                stats.latency.record(lat_s);
-                self.agg_latency.record(lat_s);
-                stats.sum_queuing += rec.queuing.as_secs_f64();
-                stats.sum_loading += rec.loading.as_secs_f64();
-                stats.sum_inference += rec.inference.as_secs_f64();
+        if rec.remaining > 0 {
+            return;
+        }
+        let stats = &mut self.tenants[rec.tenant as usize];
+        stats.completed_total += 1;
+        if self.window.measures(rec.arrival) {
+            stats.completed += 1;
+            let lat_s = now.saturating_since(rec.arrival).as_secs_f64();
+            stats.latency.record(lat_s);
+            if let Some(agg) = &mut self.agg_latency {
+                agg.record(lat_s);
             }
+            stats.sum_queuing += rec.queuing.as_secs_f64();
+            stats.sum_loading += rec.loading.as_secs_f64();
+            stats.sum_inference += rec.inference.as_secs_f64();
         }
     }
 
+    /// Runs to the horizon. Arrivals are taken in order straight from the
+    /// query records, ahead of any queued event at the same instant.
     fn run(&mut self) {
-        while let Some(entry) = self.heap.pop() {
+        let mut next_arrival = 0;
+        loop {
+            let next_event = self.heap.peek().map(|e| e.time);
+            if let Some(q) = self.queries.get(next_arrival) {
+                if next_event.map_or(true, |t| q.arrival <= t) {
+                    self.arrive(next_arrival as u32, q.arrival);
+                    next_arrival += 1;
+                    continue;
+                }
+            }
+            let Some(entry) = self.heap.pop() else {
+                break;
+            };
             let now = entry.time;
-            if now > self.horizon {
+            if now > self.window.horizon {
                 break;
             }
             match entry.ev {
-                Ev::Arrival { tenant, query } => {
-                    let t = tenant as usize;
-                    let subs = self.split(t, query, now);
-                    self.queries[t][query as usize].remaining = subs.len() as u32;
-                    self.queries[t][query as usize].n_subs = subs.len() as u32;
-                    if self.topos[t].front.is_some() {
-                        self.front_queues[t].extend(subs);
-                        self.schedule_front(now);
-                    } else {
-                        self.fusion_bufs[t].extend(subs);
-                        self.try_launch_gpu(now);
-                    }
-                }
-                Ev::FrontDone { thread, sub } => {
+                Ev::FrontServed { thread, sub } => {
                     self.front_free.push(thread);
-                    let forwarded = CoSub { ready: now, ..sub };
-                    match &self.topos[sub.tenant as usize].back {
+                    let t = self.queries[sub.query as usize].tenant as usize;
+                    let forwarded = Sub { ready: now, ..sub };
+                    match &self.topos[t].back {
                         BackStage::None => self.complete_sub(&sub, now),
                         BackStage::HostPool { .. } => {
-                            self.back_queues[sub.tenant as usize].push_back(forwarded);
+                            self.back_queues[t].push_back(forwarded);
                             self.schedule_back(now);
                         }
                         BackStage::Gpu { .. } => {
-                            self.fusion_bufs[sub.tenant as usize].push_back(forwarded);
+                            self.fusion_bufs[t].push_back(forwarded);
                             self.try_launch_gpu(now);
                         }
                     }
                     self.schedule_front(now);
                 }
-                Ev::BackDone { thread, sub } => {
+                Ev::BackServed { thread, sub } => {
                     self.back_free.push(thread);
                     self.complete_sub(&sub, now);
                     self.schedule_back(now);
                 }
-                Ev::LoadDone { ctx, batch } => {
+                Ev::Loaded { ctx, batch } => {
                     let t = self.batches[batch].tenant as usize;
                     let items = self.batches[batch].items;
                     let BackStage::Gpu { svc, colocated, .. } = &self.topos[t].back else {
-                        unreachable!("LoadDone only fires with a GPU stage");
+                        unreachable!("Loaded only fires with a GPU stage");
                     };
                     let cost = svc.cost(items);
                     let factor = self.derate_for(t, now);
@@ -476,28 +537,177 @@ impl<'a> CoEngine<'a> {
                     self.buckets.gpu_s[b] +=
                         svc_latency.as_secs_f64() * cost.gpu_util / *colocated as f64;
                     self.batches[batch].compute = svc_latency;
-                    self.push(now + svc_latency, Ev::GpuDone { ctx, batch });
+                    self.push(now + svc_latency, Ev::GpuServed { ctx, batch });
                 }
-                Ev::GpuDone { ctx, batch } => {
+                Ev::GpuServed { ctx, batch } => {
                     self.gpu_free.push(ctx);
-                    let t = self.batches[batch].tenant as usize;
-                    let compute = self.batches[batch].compute;
-                    let load_start = self.batches[batch].load_start;
-                    let load_dur = self.batches[batch].load_dur;
-                    let subs = std::mem::take(&mut self.batches[batch].subs);
-                    for sub in &subs {
-                        let rec = &mut self.queries[t][sub.query as usize];
+                    let Batch {
+                        first,
+                        end,
+                        load_start,
+                        load_dur,
+                        compute,
+                        ..
+                    } = self.batches[batch];
+                    for i in first..end {
+                        let sub = self.batch_subs[i];
+                        let rec = &mut self.queries[sub.query as usize];
                         let nsubs = rec.n_subs.max(1) as u64;
                         let wait = load_start.saturating_since(sub.ready);
                         rec.queuing += wait / nsubs;
                         rec.loading += load_dur / nsubs;
                         rec.inference += compute / nsubs;
-                        self.complete_sub(sub, now);
+                        self.complete_sub(&sub, now);
                     }
                     self.try_launch_gpu(now);
                 }
             }
         }
+    }
+}
+
+/// Runs the engine: `tenants[i] = (offered, share)` is served over
+/// `topos[i]`, every topology sharing the pools sized by `topos[0]`.
+///
+/// Callers have validated the loads and checked that the topologies share
+/// one shape. With one tenant the aggregate is that tenant's report.
+pub(crate) fn run(
+    topos: &[Topology],
+    tenants: &[(Qps, f64)],
+    server: &ServerSpec,
+    sim: &SimConfig,
+) -> ColocationReport {
+    let n = tenants.len();
+    let window = MeasureWindow::new(sim.duration, sim.warmup_fraction, sim.drain_margin);
+
+    // Per-tenant arrival streams (tenant 0 is the dedicated stream), merged
+    // into one arrival order; the stable sort keeps tenant order at ties.
+    let mut stats: Vec<TenantStats> = (0..n).map(|_| TenantStats::default()).collect();
+    let mut queries = Vec::new();
+    for (i, &(offered, _)) in tenants.iter().enumerate() {
+        let qs = QueryStream::tenant(offered, sim.seed, i as u32).take_until(window.horizon);
+        stats[i].total_arrivals = qs.len() as u64;
+        stats[i].measured_arrivals =
+            qs.iter().filter(|q| window.measures(q.arrival)).count() as u64;
+        queries.extend(qs.iter().map(|q| QueryRec {
+            arrival: q.arrival,
+            tenant: i as u32,
+            size: q.size,
+            ..QueryRec::default()
+        }));
+    }
+    if n > 1 {
+        queries.sort_by_key(|q| q.arrival);
+    }
+
+    // Shared pools sized by the plan (identical across tenants by shape).
+    let front_threads = topos[0].front.as_ref().map_or(0, |f| f.threads);
+    let (back_threads, gpu_ctxs) = match &topos[0].back {
+        BackStage::None => (0, 0),
+        BackStage::HostPool { threads, .. } => (*threads, 0),
+        BackStage::Gpu { colocated, .. } => (0, *colocated),
+    };
+    let shares: Vec<f64> = tenants.iter().map(|&(_, share)| share).collect();
+    let queues = || (0..n).map(|_| VecDeque::new()).collect();
+
+    let mut engine = Engine {
+        topos,
+        server,
+        peak_chan_bw: server.mem.peak_bw_gbs * 1e9,
+        chan_bytes_cum: vec![0.0; n],
+        window,
+        heap: BinaryHeap::new(),
+        seq: 0,
+        queries,
+        front_queues: queues(),
+        front_free: (0..front_threads).collect(),
+        front_rr: WeightedRr::new(&shares),
+        back_queues: queues(),
+        back_free: (0..back_threads).collect(),
+        back_rr: WeightedRr::new(&shares),
+        fusion_bufs: queues(),
+        gpu_free: (0..gpu_ctxs).collect(),
+        gpu_rr: WeightedRr::new(&shares),
+        pcie_free: SimTime::ZERO,
+        batches: Vec::new(),
+        batch_subs: Vec::new(),
+        tenants: stats,
+        agg_latency: (n > 1).then(PercentileTracker::new),
+        buckets: Buckets::new(sim.duration),
+        front_idle_weighted: 0.0,
+        front_busy_weight: 0.0,
+        total_nmp_j: 0.0,
+    };
+    engine.run();
+
+    for q in &engine.queries {
+        if q.remaining > 0 {
+            engine.tenants[q.tenant as usize].in_flight += 1;
+        }
+    }
+
+    // Server-level power and activity, shared by every report.
+    let window_s = window.span_s();
+    let load = summarize_load(
+        &engine.buckets,
+        server,
+        sim.duration.as_secs_f64(),
+        engine.total_nmp_j,
+    );
+    let front_idle_fraction = if engine.front_busy_weight > 0.0 {
+        engine.front_idle_weighted / engine.front_busy_weight
+    } else {
+        0.0
+    };
+    // Whole-server energy is attributed to queries evenly: every tenant's
+    // energy_per_query is server energy over *aggregate* completions, so
+    // summing `energy_per_query * completed` across tenants recovers the
+    // server's actual energy exactly.
+    let agg_completed: u64 = engine.tenants.iter().map(|s| s.completed).sum();
+    let energy_per_query = if agg_completed == 0 {
+        Joules::ZERO
+    } else {
+        Joules(load.mean_power.value() * window_s / agg_completed as f64)
+    };
+    let figures = ServerFigures {
+        load,
+        energy_per_query,
+        front_idle_fraction,
+        window_s,
+    };
+
+    let per_tenant: Vec<SimReport> = engine
+        .tenants
+        .iter_mut()
+        .zip(tenants)
+        .map(|(st, &(offered, _))| st.report(offered, &figures))
+        .collect();
+    let aggregate = match engine.agg_latency.take() {
+        None => per_tenant[0].clone(),
+        Some(latency) => {
+            // Counters fold over the tenants; the latency population was
+            // recorded separately (quantiles cannot be merged).
+            let mut agg = TenantStats {
+                latency,
+                ..TenantStats::default()
+            };
+            for st in &engine.tenants {
+                agg.completed += st.completed;
+                agg.completed_total += st.completed_total;
+                agg.measured_arrivals += st.measured_arrivals;
+                agg.total_arrivals += st.total_arrivals;
+                agg.in_flight += st.in_flight;
+                agg.sum_queuing += st.sum_queuing;
+                agg.sum_loading += st.sum_loading;
+                agg.sum_inference += st.sum_inference;
+            }
+            let offered = Qps(tenants.iter().map(|&(offered, _)| offered.value()).sum());
+            agg.report(offered, &figures)
+        }
+    };
+    ColocationReport {
+        per_tenant,
+        aggregate,
     }
 }
 
@@ -541,202 +751,8 @@ pub fn simulate_colocated(
     if topos.iter().any(|t| topo_shape(t) != shape) {
         return Err(PlanError::TenantShapeMismatch);
     }
-
-    let n = cfg.tenants.len();
-    let sim = &cfg.sim;
-    let horizon = SimTime::ZERO + sim.duration;
-    let warmup_start = SimTime::ZERO + sim.duration.mul_f64(sim.warmup_fraction.clamp(0.0, 0.9));
-    let margin = sim.drain_margin.min(sim.duration.mul_f64(0.4));
-    let measure_end = SimTime::ZERO + (sim.duration.saturating_sub(margin));
-    let measure_end = measure_end.max(warmup_start);
-
-    // Per-tenant arrival streams: tenant 0 is the dedicated stream.
-    let mut queries: Vec<Vec<QueryRec>> = Vec::with_capacity(n);
-    let mut sizes: Vec<Vec<u32>> = Vec::with_capacity(n);
-    let mut stats: Vec<TenantStats> = Vec::with_capacity(n);
-    let mut arrivals: Vec<Vec<SimTime>> = Vec::with_capacity(n);
-    for (i, tenant) in cfg.tenants.iter().enumerate() {
-        let mut stream = QueryStream::tenant(tenant.offered, sim.seed, i as u32);
-        let qs = stream.take_until(horizon);
-        let mut st = TenantStats::new();
-        st.total_arrivals = qs.len() as u64;
-        st.measured_arrivals = qs
-            .iter()
-            .filter(|q| q.arrival >= warmup_start && q.arrival < measure_end)
-            .count() as u64;
-        stats.push(st);
-        queries.push(
-            qs.iter()
-                .map(|q| QueryRec {
-                    arrival: q.arrival,
-                    ..QueryRec::default()
-                })
-                .collect(),
-        );
-        sizes.push(qs.iter().map(|q| q.size).collect());
-        arrivals.push(qs.iter().map(|q| q.arrival).collect());
-    }
-
-    // Shared pools sized by the plan (identical across tenants by the
-    // shape check above).
-    let front_threads = topos[0].front.as_ref().map_or(0, |f| f.threads);
-    let (back_threads, gpu_ctxs) = match &topos[0].back {
-        BackStage::None => (0, 0),
-        BackStage::HostPool { threads, .. } => (*threads, 0),
-        BackStage::Gpu { colocated, .. } => (0, *colocated),
-    };
-    let shares: Vec<f64> = cfg.tenants.iter().map(|t| t.share).collect();
-
-    let mut engine = CoEngine {
-        topos: &topos,
-        server,
-        n_tenants: n as u32,
-        peak_chan_bw: server.mem.peak_bw_gbs * 1e9,
-        chan_bytes_cum: vec![0.0; n],
-        horizon,
-        warmup_start,
-        measure_end,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        queries,
-        sizes,
-        front_queues: (0..n).map(|_| VecDeque::new()).collect(),
-        front_free: (0..front_threads).collect(),
-        front_rr: WeightedRr::new(&shares),
-        back_queues: (0..n).map(|_| VecDeque::new()).collect(),
-        back_free: (0..back_threads).collect(),
-        back_rr: WeightedRr::new(&shares),
-        fusion_bufs: (0..n).map(|_| VecDeque::new()).collect(),
-        gpu_free: (0..gpu_ctxs).collect(),
-        gpu_rr: WeightedRr::new(&shares),
-        pcie_free: SimTime::ZERO,
-        batches: Vec::new(),
-        tenants: stats,
-        agg_latency: PercentileTracker::new(),
-        buckets: Buckets::new(sim.duration),
-        front_idle_weighted: 0.0,
-        front_busy_weight: 0.0,
-        total_nmp_j: 0.0,
-    };
-
-    for (t, list) in arrivals.into_iter().enumerate() {
-        for (q, time) in list.into_iter().enumerate() {
-            engine.push(
-                time,
-                Ev::Arrival {
-                    tenant: t as u32,
-                    query: q as u32,
-                },
-            );
-        }
-    }
-    engine.run();
-
-    // Server-level power and activity (shared across per-tenant reports).
-    let duration_s = sim.duration.as_secs_f64();
-    let window_s = (measure_end - warmup_start).as_secs_f64().max(1e-9);
-    let LoadSummary {
-        cpu_activity,
-        mem_activity,
-        gpu_activity,
-        pcie_activity,
-        mean_power,
-        peak_power,
-    } = summarize_load(&engine.buckets, server, duration_s, engine.total_nmp_j);
-
-    let front_idle_fraction = if engine.front_busy_weight > 0.0 {
-        engine.front_idle_weighted / engine.front_busy_weight
-    } else {
-        0.0
-    };
-
-    // Whole-server energy is attributed to queries evenly: every tenant's
-    // energy_per_query is server energy over *aggregate* completions, so
-    // summing `energy_per_query * completed` across tenants recovers the
-    // server's actual energy exactly (and a single tenant reproduces the
-    // dedicated figure bit-for-bit).
-    let agg_completed: u64 = engine.tenants.iter().map(|s| s.completed).sum();
-    let energy_per_query = if agg_completed == 0 {
-        Joules::ZERO
-    } else {
-        Joules(mean_power.value() * window_s / agg_completed as f64)
-    };
-
-    let assemble = |offered: Qps, in_flight: u64, st: &mut TenantStats| -> SimReport {
-        let completed = st.completed;
-        let achieved = Qps(completed as f64 / window_s);
-        let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
-        let mean_latency = SimDuration::from_secs_f64(st.latency.mean());
-        let (p50, p95, p99) = (
-            to_dur(st.latency.p50()),
-            to_dur(st.latency.p95()),
-            to_dur(st.latency.p99()),
-        );
-        let per = |sum: f64| {
-            if completed == 0 {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_secs_f64(sum / completed as f64)
-            }
-        };
-        SimReport {
-            offered,
-            achieved,
-            measured_arrivals: st.measured_arrivals,
-            completed,
-            total_arrivals: st.total_arrivals,
-            completed_total: st.completed_total,
-            in_flight_at_horizon: in_flight,
-            mean_latency,
-            p50,
-            p95,
-            p99,
-            mean_power,
-            peak_power,
-            energy_per_query,
-            cpu_activity,
-            mem_activity,
-            gpu_activity,
-            pcie_activity,
-            front_idle_fraction,
-            breakdown: LatencyBreakdown {
-                queuing: per(st.sum_queuing),
-                loading: per(st.sum_loading),
-                inference: per(st.sum_inference),
-            },
-        }
-    };
-
-    let in_flight_of = |recs: &[QueryRec]| recs.iter().filter(|q| q.remaining > 0).count() as u64;
-
-    // Aggregate counters fold over the per-tenant stats; the latency
-    // population was recorded separately (quantiles cannot be merged).
-    let mut agg = TenantStats::new();
-    agg.latency = std::mem::replace(&mut engine.agg_latency, PercentileTracker::new());
-    for st in &engine.tenants {
-        agg.completed += st.completed;
-        agg.completed_total += st.completed_total;
-        agg.measured_arrivals += st.measured_arrivals;
-        agg.total_arrivals += st.total_arrivals;
-        agg.sum_queuing += st.sum_queuing;
-        agg.sum_loading += st.sum_loading;
-        agg.sum_inference += st.sum_inference;
-    }
-
-    let mut per_tenant = Vec::with_capacity(n);
-    for (i, tenant) in cfg.tenants.iter().enumerate() {
-        let in_flight = in_flight_of(&engine.queries[i]);
-        per_tenant.push(assemble(tenant.offered, in_flight, &mut engine.tenants[i]));
-    }
-
-    let agg_offered = Qps(cfg.tenants.iter().map(|t| t.offered.value()).sum());
-    let agg_in_flight: u64 = engine.queries.iter().map(|q| in_flight_of(q)).sum();
-    let aggregate = assemble(agg_offered, agg_in_flight, &mut agg);
-
-    Ok(ColocationReport {
-        per_tenant,
-        aggregate,
-    })
+    let tenants: Vec<(Qps, f64)> = cfg.tenants.iter().map(|t| (t.offered, t.share)).collect();
+    Ok(run(&topos, &tenants, server, &cfg.sim))
 }
 
 #[cfg(test)]

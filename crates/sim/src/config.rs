@@ -179,6 +179,9 @@ pub enum PlanError {
     /// one model fits the accelerator whole while another needs a host
     /// cold-sparse stage), which the shared-pool engine cannot serve.
     TenantShapeMismatch,
+    /// A throughput search was asked to start at a rate that is not
+    /// positive and finite.
+    BadSearchStart,
 }
 
 impl fmt::Display for PlanError {
@@ -206,6 +209,9 @@ impl fmt::Display for PlanError {
                 f,
                 "co-located tenants need structurally identical topologies"
             ),
+            PlanError::BadSearchStart => {
+                write!(f, "search start rate must be positive and finite")
+            }
         }
     }
 }
@@ -424,15 +430,26 @@ impl ColocationConfig {
             return Err(PlanError::NoTenants);
         }
         for (index, t) in self.tenants.iter().enumerate() {
-            let ok = t.share.is_finite()
-                && t.share > 0.0
-                && t.offered.value().is_finite()
-                && t.offered.value() > 0.0;
-            if !ok {
-                return Err(PlanError::BadTenant { index });
-            }
+            check_tenant_load(index, t.offered, t.share)?;
         }
         Ok(())
+    }
+}
+
+/// Checks one tenant's offered load and dispatch share: both must be
+/// positive and finite. A dedicated run is the one-tenant case (index 0,
+/// unit share).
+///
+/// # Errors
+///
+/// [`PlanError::BadTenant`] naming `index` otherwise.
+pub(crate) fn check_tenant_load(index: usize, offered: Qps, share: f64) -> Result<(), PlanError> {
+    let ok =
+        share.is_finite() && share > 0.0 && offered.value().is_finite() && offered.value() > 0.0;
+    if ok {
+        Ok(())
+    } else {
+        Err(PlanError::BadTenant { index })
     }
 }
 

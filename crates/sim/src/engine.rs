@@ -1,58 +1,32 @@
-//! The discrete-event server simulator.
+//! Building blocks shared by every execution backend, and the dedicated
+//! (single-model) entry points of the simulator.
 //!
-//! Faithful to the paper's system stack (Fig. 3): a query dispatcher splits
-//! arriving queries into sub-queries (data-parallelism on CPUs) or fuses
-//! them into large batches (query fusion on accelerators); inference-thread
-//! pools serve batches with service times from the roofline cost model; the
-//! S-D pipeline forwards pooled sparse outputs through a queue; PCIe loading
-//! is a serialized shared link. Tail latency, throughput, utilization, and
-//! power are measured over a post-warm-up window.
+//! The event loop itself lives in [`crate::colocation`]: a dedicated server
+//! is the one-tenant case of a co-located one, so [`simulate`],
+//! [`simulate_cached`] and [`simulate_with_topology`] run that engine with a
+//! single unit-share tenant. Everything here is also used by the live
+//! serving runtime, so both clocks split queries, bucket resource use,
+//! derive power and pick the measured query population exactly as the
+//! simulator does.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 
-use hercules_common::stats::PercentileTracker;
-use hercules_common::units::{Joules, Qps, SimDuration, SimTime, Watts};
-use hercules_hw::cost::pcie_transfer_time;
+use hercules_common::units::{Qps, SimDuration, SimTime, Watts};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::power::{Activity, PowerModel};
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
-use hercules_workload::generator::QueryStream;
 
-use crate::config::{PlacementPlan, PlanError, SimConfig};
-use crate::metrics::{LatencyBreakdown, SimReport};
-use crate::service::{build_topology, BackStage, Topology};
+use crate::colocation;
+use crate::config::{check_tenant_load, PlacementPlan, PlanError, SimConfig};
+use crate::metrics::SimReport;
+use crate::service::{build_topology, Topology};
 
 /// Number of coarse accounting buckets used for peak-power estimation.
 pub const POWER_BUCKETS: usize = 32;
 
-#[derive(Debug, Clone, Copy)]
-struct SubQuery {
-    query: u32,
-    items: u32,
-    ready: SimTime,
-}
-
-#[derive(Debug)]
-struct FusedBatch {
-    subs: Vec<SubQuery>,
-    items: u32,
-    load_start: SimTime,
-    load_dur: SimDuration,
-}
-
-#[derive(Debug)]
-enum Ev {
-    Arrival(u32),
-    FrontDone { thread: u32, sub: SubQuery },
-    BackDone { thread: u32, sub: SubQuery },
-    LoadDone { ctx: u32, batch: usize },
-    GpuDone { ctx: u32, batch: usize },
-}
-
-// Shared with the multi-tenant engine (`crate::colocation`), which queues
-// its own event type with identical (time, seq) ordering.
+/// An event queued at `time`; `seq` (push order) breaks ties, so equal-time
+/// events pop first-in first-out.
 pub(crate) struct HeapEntry<E> {
     pub(crate) time: SimTime,
     pub(crate) seq: u64,
@@ -83,8 +57,8 @@ impl<E> Ord for HeapEntry<E> {
 /// Splits a query of `size` items into sub-query sizes under the plan's
 /// data-parallel split batch (`None`: the whole query flows as one unit).
 ///
-/// Shared by the dedicated engine, the multi-tenant engine, and the live
-/// serving runtime, so every execution backend forms identical sub-queries.
+/// Shared by the simulator and the live serving runtime, so every execution
+/// backend forms identical sub-queries.
 pub fn split_sizes(size: u32, split_batch: Option<u32>) -> Vec<u32> {
     split_iter(size, split_batch).collect()
 }
@@ -127,22 +101,10 @@ impl Iterator for SplitIter {
 
 impl ExactSizeIterator for SplitIter {}
 
-// `pub(crate)` so the multi-tenant engine (`crate::colocation`) shares the
-// exact per-query record and power-bucket accounting of the dedicated path.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QueryRec {
-    pub(crate) arrival: SimTime,
-    pub(crate) remaining: u32,
-    pub(crate) n_subs: u32,
-    pub(crate) queuing: SimDuration,
-    pub(crate) loading: SimDuration,
-    pub(crate) inference: SimDuration,
-}
-
 /// Coarse time-bucketed resource accounting: busy core-seconds, channel
 /// bytes, GPU-seconds, PCIe-seconds, and NMP energy per bucket. Feeds
-/// [`summarize_load`]; shared by the simulation engines and the live
-/// serving runtime so every backend derives power and activity identically.
+/// [`summarize_load`]; shared by the simulator and the live serving runtime
+/// so every backend derives power and activity identically.
 #[derive(Debug, Clone)]
 pub struct Buckets {
     /// Bucket width in seconds (`duration / POWER_BUCKETS`).
@@ -202,9 +164,8 @@ impl Buckets {
 }
 
 /// Server-level activity and power derived from the bucketed accounting —
-/// shared by the dedicated engine, the multi-tenant engine, and the live
-/// serving runtime so the report-assembly paths can never drift (the
-/// single-tenant bitwise-equivalence property depends on it).
+/// shared by the simulator and the live serving runtime so the
+/// report-assembly paths can never drift.
 pub struct LoadSummary {
     /// Mean fraction of CPU cores busy.
     pub cpu_activity: f64,
@@ -264,257 +225,46 @@ pub fn summarize_load(
     }
 }
 
-struct Engine<'a> {
-    topo: &'a Topology,
-    server: &'a ServerSpec,
-    horizon: SimTime,
-    warmup_start: SimTime,
-    measure_end: SimTime,
-    heap: BinaryHeap<HeapEntry<Ev>>,
-    seq: u64,
-    queries: Vec<QueryRec>,
-    all_queries: Vec<hercules_workload::query::Query>,
-    // Host front pool.
-    front_queue: VecDeque<SubQuery>,
-    front_free: Vec<u32>,
-    // Host back pool (S-D dense stage).
-    back_queue: VecDeque<SubQuery>,
-    back_free: Vec<u32>,
-    // GPU stage.
-    fusion_buf: VecDeque<SubQuery>,
-    gpu_free: Vec<u32>,
-    pcie_free: SimTime,
-    batches: Vec<FusedBatch>,
-    // Metrics.
-    latency: PercentileTracker,
-    completed: u64,
-    completed_total: u64,
-    measured_arrivals: u64,
-    sum_queuing: f64,
-    sum_loading: f64,
-    sum_inference: f64,
-    buckets: Buckets,
-    front_idle_weighted: f64,
-    front_busy_weight: f64,
-    total_nmp_j: f64,
+/// The measured span of a run: the horizon, and the arrival instants whose
+/// queries count towards the report. One definition for the simulator and
+/// both runtime clocks, so every backend measures the same query population.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MeasureWindow {
+    /// End of the run; later events are never processed.
+    pub horizon: SimTime,
+    /// Arrivals before this instant are warm-up and not measured.
+    pub warmup_start: SimTime,
+    /// Arrivals from this instant on are served but not measured: they
+    /// could not complete before the horizon even when meeting the SLA.
+    pub measure_end: SimTime,
 }
 
-impl<'a> Engine<'a> {
-    fn push(&mut self, time: SimTime, ev: Ev) {
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            time,
-            seq: self.seq,
-            ev,
-        });
-    }
-
-    fn split(&self, query_idx: u32, now: SimTime) -> Vec<SubQuery> {
-        let size = self.all_queries[query_idx as usize].size;
-        split_sizes(size, self.topo.split_batch)
-            .into_iter()
-            .map(|items| SubQuery {
-                query: query_idx,
-                items,
-                ready: now,
-            })
-            .collect()
-    }
-
-    fn schedule_front(&mut self, now: SimTime) {
-        let Some(front) = &self.topo.front else {
-            return;
-        };
-        while !self.front_free.is_empty() && !self.front_queue.is_empty() {
-            let thread = self.front_free.pop().expect("non-empty");
-            let sub = self.front_queue.pop_front().expect("non-empty");
-            let cost = front.svc.cost(sub.items);
-            let wait = now.saturating_since(sub.ready);
-            let rec = &mut self.queries[sub.query as usize];
-            let nsubs = rec.n_subs.max(1) as u64;
-            rec.queuing += wait / nsubs;
-            rec.inference += cost.latency / nsubs;
-            let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64();
-            self.buckets.chan_bytes[b] += cost.channel_bytes;
-            self.buckets.nmp_j[b] += cost.nmp_energy.value();
-            self.total_nmp_j += cost.nmp_energy.value();
-            self.front_idle_weighted += cost.idle_fraction * cost.busy_core_time.as_secs_f64();
-            self.front_busy_weight += cost.busy_core_time.as_secs_f64();
-            let done = now + cost.latency;
-            self.push(done, Ev::FrontDone { thread, sub });
+impl MeasureWindow {
+    /// The window of a run lasting `duration` that skips the leading
+    /// `warmup_fraction` (clamped to `[0, 0.9]`) and the trailing
+    /// `drain_margin` (at most 40% of the run).
+    pub fn new(duration: SimDuration, warmup_fraction: f64, drain_margin: SimDuration) -> Self {
+        let warmup_start = SimTime::ZERO + duration.mul_f64(warmup_fraction.clamp(0.0, 0.9));
+        let margin = drain_margin.min(duration.mul_f64(0.4));
+        let measure_end = SimTime::ZERO + duration.saturating_sub(margin);
+        MeasureWindow {
+            horizon: SimTime::ZERO + duration,
+            warmup_start,
+            measure_end: measure_end.max(warmup_start),
         }
     }
 
-    fn schedule_back(&mut self, now: SimTime) {
-        let BackStage::HostPool { svc, .. } = &self.topo.back else {
-            return;
-        };
-        while !self.back_free.is_empty() && !self.back_queue.is_empty() {
-            let thread = self.back_free.pop().expect("non-empty");
-            let sub = self.back_queue.pop_front().expect("non-empty");
-            let cost = svc.cost(sub.items);
-            let wait = now.saturating_since(sub.ready);
-            let nsubs = self.queries[sub.query as usize].n_subs.max(1) as u64;
-            self.queries[sub.query as usize].queuing += wait / nsubs;
-            self.queries[sub.query as usize].inference += cost.latency / nsubs;
-            let b = self.buckets.index(now);
-            self.buckets.cpu_core_s[b] += cost.busy_core_time.as_secs_f64();
-            self.buckets.chan_bytes[b] += cost.channel_bytes;
-            let done = now + cost.latency;
-            self.push(done, Ev::BackDone { thread, sub });
-        }
+    /// Whether a query arriving at `t` is measured.
+    pub fn measures(&self, t: SimTime) -> bool {
+        t >= self.warmup_start && t < self.measure_end
     }
 
-    fn try_launch_gpu(&mut self, now: SimTime) {
-        let BackStage::Gpu {
-            fusion_limit,
-            bytes_per_item,
-            ..
-        } = &self.topo.back
-        else {
-            return;
-        };
-        let fusion_limit = *fusion_limit;
-        let bytes_per_item = *bytes_per_item;
-        while !self.gpu_free.is_empty() && !self.fusion_buf.is_empty() {
-            let ctx = self.gpu_free.pop().expect("non-empty");
-            let mut subs = Vec::new();
-            let mut items = 0u32;
-            match fusion_limit {
-                None => {
-                    let sub = self.fusion_buf.pop_front().expect("non-empty");
-                    items = sub.items;
-                    subs.push(sub);
-                }
-                Some(limit) => {
-                    while let Some(next) = self.fusion_buf.front() {
-                        if !subs.is_empty() && items + next.items > limit {
-                            break;
-                        }
-                        let sub = self.fusion_buf.pop_front().expect("non-empty");
-                        items += sub.items;
-                        subs.push(sub);
-                    }
-                }
-            }
-            let gpu = self
-                .server
-                .gpu
-                .as_ref()
-                .expect("gpu topology on gpu server");
-            let bytes = bytes_per_item * items as f64;
-            let load_start = now.max(self.pcie_free);
-            let load_dur = pcie_transfer_time(bytes, gpu, 1);
-            self.pcie_free = load_start + load_dur;
-            let b = self.buckets.index(load_start);
-            self.buckets.pcie_s[b] += load_dur.as_secs_f64();
-            let batch_id = self.batches.len();
-            self.batches.push(FusedBatch {
-                subs,
-                items,
-                load_start,
-                load_dur,
-            });
-            self.push(
-                load_start + load_dur,
-                Ev::LoadDone {
-                    ctx,
-                    batch: batch_id,
-                },
-            );
-        }
-    }
-
-    fn complete_sub(&mut self, sub: &SubQuery, now: SimTime) {
-        let rec = &mut self.queries[sub.query as usize];
-        rec.remaining -= 1;
-        if rec.remaining == 0 {
-            self.completed_total += 1;
-            let lat = now.saturating_since(rec.arrival);
-            if rec.arrival >= self.warmup_start && rec.arrival < self.measure_end {
-                self.completed += 1;
-                self.latency.record(lat.as_secs_f64());
-                self.sum_queuing += rec.queuing.as_secs_f64();
-                self.sum_loading += rec.loading.as_secs_f64();
-                self.sum_inference += rec.inference.as_secs_f64();
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        while let Some(entry) = self.heap.pop() {
-            let now = entry.time;
-            if now > self.horizon {
-                break;
-            }
-            match entry.ev {
-                Ev::Arrival(q) => {
-                    let subs = self.split(q, now);
-                    self.queries[q as usize].remaining = subs.len() as u32;
-                    self.queries[q as usize].n_subs = subs.len() as u32;
-                    if self.topo.front.is_some() {
-                        self.front_queue.extend(subs);
-                        self.schedule_front(now);
-                    } else {
-                        self.fusion_buf.extend(subs);
-                        self.try_launch_gpu(now);
-                    }
-                }
-                Ev::FrontDone { thread, sub } => {
-                    self.front_free.push(thread);
-                    let forwarded = SubQuery { ready: now, ..sub };
-                    match &self.topo.back {
-                        BackStage::None => self.complete_sub(&sub, now),
-                        BackStage::HostPool { .. } => {
-                            self.back_queue.push_back(forwarded);
-                            self.schedule_back(now);
-                        }
-                        BackStage::Gpu { .. } => {
-                            self.fusion_buf.push_back(forwarded);
-                            self.try_launch_gpu(now);
-                        }
-                    }
-                    self.schedule_front(now);
-                }
-                Ev::BackDone { thread, sub } => {
-                    self.back_free.push(thread);
-                    self.complete_sub(&sub, now);
-                    self.schedule_back(now);
-                }
-                Ev::LoadDone { ctx, batch } => {
-                    let items = self.batches[batch].items;
-                    let BackStage::Gpu { svc, colocated, .. } = &self.topo.back else {
-                        unreachable!("LoadDone only fires with a GPU stage");
-                    };
-                    let cost = svc.cost(items);
-                    let b = self.buckets.index(now);
-                    self.buckets.gpu_s[b] +=
-                        cost.latency.as_secs_f64() * cost.gpu_util / *colocated as f64;
-                    self.push(now + cost.latency, Ev::GpuDone { ctx, batch });
-                }
-                Ev::GpuDone { ctx, batch } => {
-                    self.gpu_free.push(ctx);
-                    let BackStage::Gpu { svc, .. } = &self.topo.back else {
-                        unreachable!("GpuDone only fires with a GPU stage");
-                    };
-                    let items = self.batches[batch].items;
-                    let compute = svc.cost(items).latency;
-                    let load_start = self.batches[batch].load_start;
-                    let load_dur = self.batches[batch].load_dur;
-                    let subs = std::mem::take(&mut self.batches[batch].subs);
-                    for sub in &subs {
-                        let nsubs = self.queries[sub.query as usize].n_subs.max(1) as u64;
-                        let wait = load_start.saturating_since(sub.ready);
-                        self.queries[sub.query as usize].queuing += wait / nsubs;
-                        self.queries[sub.query as usize].loading += load_dur / nsubs;
-                        self.queries[sub.query as usize].inference += compute / nsubs;
-                        self.complete_sub(sub, now);
-                    }
-                    self.try_launch_gpu(now);
-                }
-            }
-        }
+    /// Seconds between warm-up end and measure end, floored at 1 ns so
+    /// rates over an empty window stay finite.
+    pub fn span_s(&self) -> f64 {
+        (self.measure_end - self.warmup_start)
+            .as_secs_f64()
+            .max(1e-9)
     }
 }
 
@@ -528,7 +278,8 @@ impl<'a> Engine<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model,
+/// or if `offered` is not positive and finite.
 pub fn simulate(
     model: &RecModel,
     server: &ServerSpec,
@@ -543,7 +294,8 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model,
+/// or if `offered` is not positive and finite.
 pub fn simulate_cached(
     model: &RecModel,
     server: &ServerSpec,
@@ -558,147 +310,19 @@ pub fn simulate_cached(
 
 /// Simulates a pre-built topology (lets searchers reuse cost caches across
 /// load levels).
+///
+/// # Errors
+///
+/// Returns [`PlanError::BadTenant`] if `offered` is not positive and finite.
 pub fn simulate_with_topology(
     topo: &Topology,
     server: &ServerSpec,
     offered: Qps,
     cfg: &SimConfig,
 ) -> Result<SimReport, PlanError> {
-    let horizon = SimTime::ZERO + cfg.duration;
-    let warmup_start = SimTime::ZERO + cfg.duration.mul_f64(cfg.warmup_fraction.clamp(0.0, 0.9));
-    // Queries arriving after this instant are served but not measured; they
-    // could not complete before the horizon even when meeting the SLA.
-    let margin = cfg.drain_margin.min(cfg.duration.mul_f64(0.4));
-    let measure_end = SimTime::ZERO + (cfg.duration.saturating_sub(margin));
-    let measure_end = measure_end.max(warmup_start);
-
-    let mut stream = QueryStream::paper(offered, cfg.seed);
-    let all_queries = stream.take_until(horizon);
-    let queries: Vec<QueryRec> = all_queries
-        .iter()
-        .map(|q| QueryRec {
-            arrival: q.arrival,
-            ..QueryRec::default()
-        })
-        .collect();
-    let measured_arrivals = all_queries
-        .iter()
-        .filter(|q| q.arrival >= warmup_start && q.arrival < measure_end)
-        .count() as u64;
-
-    let front_threads = topo.front.as_ref().map_or(0, |f| f.threads);
-    let (back_threads, gpu_ctxs) = match &topo.back {
-        BackStage::None => (0, 0),
-        BackStage::HostPool { threads, .. } => (*threads, 0),
-        BackStage::Gpu { colocated, .. } => (0, *colocated),
-    };
-
-    let mut engine = Engine {
-        topo,
-        server,
-        horizon,
-        warmup_start,
-        measure_end,
-        heap: BinaryHeap::new(),
-        seq: 0,
-        queries,
-        all_queries,
-        front_queue: VecDeque::new(),
-        front_free: (0..front_threads).collect(),
-        back_queue: VecDeque::new(),
-        back_free: (0..back_threads).collect(),
-        fusion_buf: VecDeque::new(),
-        gpu_free: (0..gpu_ctxs).collect(),
-        pcie_free: SimTime::ZERO,
-        batches: Vec::new(),
-        latency: PercentileTracker::new(),
-        completed: 0,
-        completed_total: 0,
-        measured_arrivals,
-        sum_queuing: 0.0,
-        sum_loading: 0.0,
-        sum_inference: 0.0,
-        buckets: Buckets::new(cfg.duration),
-        front_idle_weighted: 0.0,
-        front_busy_weight: 0.0,
-        total_nmp_j: 0.0,
-    };
-
-    let arrivals: Vec<SimTime> = engine.all_queries.iter().map(|q| q.arrival).collect();
-    for (i, t) in arrivals.into_iter().enumerate() {
-        engine.push(t, Ev::Arrival(i as u32));
-    }
-    engine.run();
-
-    // Assemble the report.
-    let duration_s = cfg.duration.as_secs_f64();
-    let window_s = (measure_end - warmup_start).as_secs_f64().max(1e-9);
-    let LoadSummary {
-        cpu_activity,
-        mem_activity,
-        gpu_activity,
-        pcie_activity,
-        mean_power,
-        peak_power,
-    } = summarize_load(&engine.buckets, server, duration_s, engine.total_nmp_j);
-
-    let completed = engine.completed;
-    let total_arrivals = engine.queries.len() as u64;
-    let completed_total = engine.completed_total;
-    // Every arrival was split (arrival events precede the horizon), so a
-    // query with outstanding sub-queries is exactly one still in flight.
-    let in_flight_at_horizon = engine.queries.iter().filter(|q| q.remaining > 0).count() as u64;
-    let achieved = Qps(completed as f64 / window_s);
-    let mut lat = engine.latency;
-    let to_dur = |s: Option<f64>| SimDuration::from_secs_f64(s.unwrap_or(0.0));
-    let mean_latency = SimDuration::from_secs_f64(lat.mean());
-    let (p50, p95, p99) = (to_dur(lat.p50()), to_dur(lat.p95()), to_dur(lat.p99()));
-
-    let per = |sum: f64| {
-        if completed == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(sum / completed as f64)
-        }
-    };
-    let breakdown = LatencyBreakdown {
-        queuing: per(engine.sum_queuing),
-        loading: per(engine.sum_loading),
-        inference: per(engine.sum_inference),
-    };
-    let front_idle_fraction = if engine.front_busy_weight > 0.0 {
-        engine.front_idle_weighted / engine.front_busy_weight
-    } else {
-        0.0
-    };
-    let energy_per_query = if completed == 0 {
-        Joules::ZERO
-    } else {
-        Joules(mean_power.value() * window_s / completed as f64)
-    };
-
-    Ok(SimReport {
-        offered,
-        achieved,
-        measured_arrivals: engine.measured_arrivals,
-        completed,
-        total_arrivals,
-        completed_total,
-        in_flight_at_horizon,
-        mean_latency,
-        p50,
-        p95,
-        p99,
-        mean_power,
-        peak_power,
-        energy_per_query,
-        cpu_activity,
-        mem_activity,
-        gpu_activity,
-        pcie_activity,
-        front_idle_fraction,
-        breakdown,
-    })
+    check_tenant_load(0, offered, 1.0)?;
+    let report = colocation::run(std::slice::from_ref(topo), &[(offered, 1.0)], server, cfg);
+    Ok(report.aggregate)
 }
 
 #[cfg(test)]
@@ -734,6 +358,24 @@ mod tests {
         assert!(r.p99 < SimDuration::from_millis(100), "p99 {}", r.p99);
         assert!(r.mean_power.value() > 0.0);
         assert!(r.peak_power >= r.mean_power);
+    }
+
+    #[test]
+    fn bad_offered_load_is_an_error() {
+        let server = ServerType::T2.spec();
+        let plan = PlacementPlan::CpuModel {
+            threads: 10,
+            workers: 2,
+            batch: 256,
+        };
+        let luts = NmpLutCache::new();
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let err = simulate(&rmc1(), &server, &plan, Qps(bad), &quick()).unwrap_err();
+            assert_eq!(err, PlanError::BadTenant { index: 0 }, "offered {bad}");
+            let err =
+                simulate_cached(&rmc1(), &server, &plan, Qps(bad), &quick(), &luts).unwrap_err();
+            assert_eq!(err, PlanError::BadTenant { index: 0 }, "offered {bad}");
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! latency-bounded QPS, power). This is the reproduction's stand-in for the
 //! paper's real-system measurement harness (Fig. 13).
 //!
+//! There is one event loop, in [`colocation`]: it serves one or more
+//! tenants over shared pools, and [`simulate`] runs it with a single
+//! unit-share tenant. [`engine`] holds the pieces the live runtime shares
+//! with it (sub-query splitting, resource buckets, power summary, the
+//! measurement window); [`search`] holds the knee search both backends use.
+//!
 //! ```no_run
 //! use hercules_sim::{simulate, PlacementPlan, SimConfig};
 //! use hercules_hw::server::ServerType;
@@ -31,11 +37,11 @@ pub use colocation::simulate_colocated;
 pub use config::{ColocationConfig, PlacementPlan, PlanError, SimConfig, SlaSpec, TenantSpec};
 pub use engine::{
     simulate, simulate_cached, simulate_with_topology, split_iter, split_sizes, summarize_load,
-    Buckets, LoadSummary, SplitIter, POWER_BUCKETS,
+    Buckets, LoadSummary, MeasureWindow, SplitIter, POWER_BUCKETS,
 };
 // Re-exported so evaluation layers can own a LUT cache without depending on
 // `hercules-hw` directly.
 pub use hercules_hw::nmp::NmpLutCache;
 pub use metrics::{ColocationReport, LatencyBreakdown, SimReport};
-pub use search::{max_qps_under_sla, SearchOptions, SlaSearchOutcome};
+pub use search::{max_qps_under_sla, search_knee, Probe, SearchOptions, SlaSearchOutcome};
 pub use service::{build_topology, BackStage, FrontStage, StageService, Topology};

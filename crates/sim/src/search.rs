@@ -3,8 +3,11 @@
 //!
 //! Finds the highest Poisson arrival rate a configuration sustains while
 //! meeting the SLA, by geometric ramp + binary search over simulations.
+//! [`search_knee`] holds the search itself; the live runtime's search
+//! (`hercules_runtime::max_qps_under_sla_live`) runs it with a runtime
+//! probe instead of a simulation.
 
-use hercules_common::units::Qps;
+use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
@@ -49,55 +52,65 @@ impl Default for SearchOptions {
     }
 }
 
-/// Finds the maximum arrival rate under `sla` for `(model, server, plan)`.
+/// One rate probe of a knee search: the offered rate and the run length
+/// and drain margin sized for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Probe {
+    /// Offered arrival rate.
+    pub rate: Qps,
+    /// Simulated duration of the run.
+    pub duration: SimDuration,
+    /// Trailing span excluded from measurement.
+    pub drain_margin: SimDuration,
+}
+
+/// The knee search behind every latency-bounded throughput measurement:
+/// geometric ramp from `opts.start` to bracket the knee, then bisection.
+/// `measure` runs one [`Probe`] on whichever backend the caller wraps; the
+/// search sizes each probe from the caller's `duration` and `drain_margin`.
 ///
-/// The topology is built once against the caller-owned `luts` cache and
-/// reused across every probed rate, so searchers sharing a cache (e.g. all
-/// plans of one evaluation context, or all cells of a parallel profile) pay
-/// the NMP LUT sweep once per rank count.
-///
-/// Returns `Ok(None)` when even the starting probe rate violates the SLA
-/// (the configuration cannot serve meaningful load within target).
+/// Returns `Ok(None)` when even a whisper of load (`start / 8`) violates
+/// the SLA.
 ///
 /// # Errors
 ///
-/// Returns a [`PlanError`] if the plan is infeasible on this server/model.
-pub fn max_qps_under_sla(
-    model: &RecModel,
-    server: &ServerSpec,
-    plan: &PlacementPlan,
+/// [`PlanError::BadSearchStart`] if `opts.start` is not positive and
+/// finite; otherwise whatever `measure` returns.
+pub fn search_knee(
     sla: &SlaSpec,
-    cfg: &SimConfig,
     opts: &SearchOptions,
-    luts: &NmpLutCache,
+    duration: SimDuration,
+    drain_margin: SimDuration,
+    mut measure: impl FnMut(Probe) -> Result<SimReport, PlanError>,
 ) -> Result<Option<SlaSearchOutcome>, PlanError> {
-    let topo = build_topology(model, server, plan, luts)?;
-    let eval = |rate: Qps| {
-        let mut run_cfg = *cfg;
-        if let Some(target) = opts.target_queries {
-            // Size the run by query count, not wall time: low-rate probes
-            // stretch their horizon (they are cheap — few events), keeping
-            // tail-percentile estimates equally sampled at every rate.
-            let want = hercules_common::units::SimDuration::from_secs_f64(
-                (target as f64 / rate.value()).clamp(0.4, 900.0),
-            );
-            run_cfg.duration = want;
-        }
+    if !(opts.start.value().is_finite() && opts.start.value() > 0.0) {
+        return Err(PlanError::BadSearchStart);
+    }
+    let mut eval = |rate: Qps| {
+        // Size the run by query count, not wall time: low-rate probes
+        // stretch their horizon (they are cheap — few events), keeping
+        // tail-percentile estimates equally sampled at every rate.
+        let duration = opts.target_queries.map_or(duration, |target| {
+            SimDuration::from_secs_f64((target as f64 / rate.value()).clamp(0.4, 900.0))
+        });
         // SLA-compliant queries arriving within ~2 targets of the horizon
         // could not drain in time; exclude them from measurement so low-rate
         // probes are not penalized for end-of-run truncation.
-        run_cfg.drain_margin = run_cfg.drain_margin.max(sla.target * 2);
-        simulate_with_topology(&topo, server, rate, &run_cfg).expect("topology built")
+        measure(Probe {
+            rate,
+            duration,
+            drain_margin: drain_margin.max(sla.target * 2),
+        })
     };
 
     // Geometric ramp to bracket the knee.
     let mut lo_rate = opts.start;
-    let mut lo_report = eval(lo_rate);
+    let mut lo_report = eval(lo_rate)?;
     if !lo_report.meets(sla) {
         // Try once more at a whisper of load before giving up: some heavy
         // models legitimately serve only tens of QPS.
         let tiny = Qps(opts.start.value() / 8.0);
-        let tiny_report = eval(tiny);
+        let tiny_report = eval(tiny)?;
         if !tiny_report.meets(sla) {
             return Ok(None);
         }
@@ -108,7 +121,7 @@ pub fn max_qps_under_sla(
     let mut hi_rate = None;
     let mut probe = Qps(lo_rate.value() * 2.0);
     while probe.value() <= opts.ceiling.value() {
-        let r = eval(probe);
+        let r = eval(probe)?;
         if r.meets(sla) {
             lo_rate = probe;
             lo_report = r;
@@ -129,7 +142,7 @@ pub fn max_qps_under_sla(
     // Binary refinement.
     for _ in 0..opts.refine_iters {
         let mid = Qps((lo_rate.value() + hi.value()) / 2.0);
-        let r = eval(mid);
+        let r = eval(mid)?;
         if r.meets(sla) {
             lo_rate = mid;
             lo_report = r;
@@ -142,6 +155,40 @@ pub fn max_qps_under_sla(
         qps: lo_rate,
         report: lo_report,
     }))
+}
+
+/// Finds the maximum arrival rate under `sla` for `(model, server, plan)`.
+///
+/// The topology is built once against the caller-owned `luts` cache and
+/// reused across every probed rate, so searchers sharing a cache (e.g. all
+/// plans of one evaluation context, or all cells of a parallel profile) pay
+/// the NMP LUT sweep once per rank count.
+///
+/// Returns `Ok(None)` when even the starting probe rate violates the SLA
+/// (the configuration cannot serve meaningful load within target).
+///
+/// # Errors
+///
+/// Returns a [`PlanError`] if the plan is infeasible on this server/model,
+/// or if `opts.start` is not positive and finite.
+pub fn max_qps_under_sla(
+    model: &RecModel,
+    server: &ServerSpec,
+    plan: &PlacementPlan,
+    sla: &SlaSpec,
+    cfg: &SimConfig,
+    opts: &SearchOptions,
+    luts: &NmpLutCache,
+) -> Result<Option<SlaSearchOutcome>, PlanError> {
+    let topo = build_topology(model, server, plan, luts)?;
+    search_knee(sla, opts, cfg.duration, cfg.drain_margin, |p| {
+        let run_cfg = SimConfig {
+            duration: p.duration,
+            drain_margin: p.drain_margin,
+            ..*cfg
+        };
+        simulate_with_topology(&topo, server, p.rate, &run_cfg)
+    })
 }
 
 #[cfg(test)]
@@ -227,6 +274,34 @@ mod tests {
         .expect("loose SLA feasible");
         if let Some(t) = tight {
             assert!(loose.qps.value() >= 0.8 * t.qps.value());
+        }
+    }
+
+    #[test]
+    fn bad_search_start_is_an_error() {
+        let m = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+        let server = ServerType::T2.spec();
+        let plan = PlacementPlan::CpuModel {
+            threads: 10,
+            workers: 2,
+            batch: 256,
+        };
+        for start in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let opts = SearchOptions {
+                start: Qps(start),
+                ..opts()
+            };
+            let err = max_qps_under_sla(
+                &m,
+                &server,
+                &plan,
+                &SlaSpec::p95(SimDuration::from_millis(40)),
+                &cfg(),
+                &opts,
+                &NmpLutCache::new(),
+            )
+            .unwrap_err();
+            assert_eq!(err, PlanError::BadSearchStart, "start {start}");
         }
     }
 

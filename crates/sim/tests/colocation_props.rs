@@ -1,9 +1,7 @@
 //! Property tests on the multi-tenant co-location engine: per-tenant
-//! conservation, bitwise equivalence of the single-tenant path with the
-//! dedicated engine (which must survive the load-dependent interference
-//! model — the derate is exactly 1.0 for one tenant at *any* memory
-//! intensity), and tail-latency monotonicity in the tenant count and in the
-//! co-runners' offered load.
+//! conservation, and tail-latency monotonicity in the tenant count and in
+//! the co-runners' offered load. (The one-tenant case is what `simulate`
+//! runs; `tests/golden_sim.rs` pins it bit for bit.)
 
 use proptest::prelude::*;
 
@@ -11,8 +9,7 @@ use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::server::ServerType;
 use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_sim::{
-    simulate, simulate_colocated, ColocationConfig, NmpLutCache, PlacementPlan, SimConfig,
-    TenantSpec,
+    simulate_colocated, ColocationConfig, NmpLutCache, PlacementPlan, SimConfig, TenantSpec,
 };
 
 fn quick(seed: u64) -> SimConfig {
@@ -70,113 +67,6 @@ proptest! {
         for t in &r.per_tenant {
             prop_assert_eq!(t.completed_total + t.in_flight_at_horizon, t.total_arrivals);
             prop_assert!(t.completed <= t.measured_arrivals);
-        }
-    }
-
-    /// A single-tenant co-location config is bitwise-identical to the
-    /// dedicated path: same streams, derate exactly 1.0, round-robin over
-    /// one queue is FIFO.
-    #[test]
-    fn single_tenant_matches_dedicated_bitwise(
-        rate in 50.0f64..1500.0,
-        seed in 0u64..100,
-    ) {
-        let server = ServerType::T2.spec();
-        let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
-        let cfg = quick(seed);
-        let dedicated = simulate(&model, &server, &plan(), Qps(rate), &cfg).unwrap();
-        let co_cfg = ColocationConfig::new(cfg, vec![TenantSpec::new(model, Qps(rate))]);
-        let co = simulate_colocated(&server, &plan(), &co_cfg, &NmpLutCache::new()).unwrap();
-        for rep in [&co.aggregate, &co.per_tenant[0]] {
-            prop_assert_eq!(rep.completed, dedicated.completed);
-            prop_assert_eq!(rep.completed_total, dedicated.completed_total);
-            prop_assert_eq!(rep.measured_arrivals, dedicated.measured_arrivals);
-            prop_assert_eq!(rep.total_arrivals, dedicated.total_arrivals);
-            prop_assert_eq!(rep.in_flight_at_horizon, dedicated.in_flight_at_horizon);
-            // SimDuration is integer nanoseconds: Eq means bit-identical.
-            prop_assert_eq!(rep.mean_latency, dedicated.mean_latency);
-            prop_assert_eq!(rep.p50, dedicated.p50);
-            prop_assert_eq!(rep.p95, dedicated.p95);
-            prop_assert_eq!(rep.p99, dedicated.p99);
-            prop_assert_eq!(rep.breakdown.queuing, dedicated.breakdown.queuing);
-            prop_assert_eq!(rep.breakdown.loading, dedicated.breakdown.loading);
-            prop_assert_eq!(rep.breakdown.inference, dedicated.breakdown.inference);
-            // Float metrics compared at the bit level.
-            prop_assert_eq!(
-                rep.mean_power.value().to_bits(),
-                dedicated.mean_power.value().to_bits()
-            );
-            prop_assert_eq!(
-                rep.peak_power.value().to_bits(),
-                dedicated.peak_power.value().to_bits()
-            );
-            prop_assert_eq!(
-                rep.energy_per_query.value().to_bits(),
-                dedicated.energy_per_query.value().to_bits()
-            );
-            prop_assert_eq!(
-                rep.achieved.value().to_bits(),
-                dedicated.achieved.value().to_bits()
-            );
-            prop_assert_eq!(rep.cpu_activity.to_bits(), dedicated.cpu_activity.to_bits());
-            prop_assert_eq!(rep.mem_activity.to_bits(), dedicated.mem_activity.to_bits());
-            prop_assert_eq!(
-                rep.front_idle_fraction.to_bits(),
-                dedicated.front_idle_fraction.to_bits()
-            );
-        }
-    }
-
-    /// The single-tenant bitwise parity also holds on the accelerator
-    /// paths: query fusion + PCIe loading (`GpuModel`) and the host-sparse
-    /// front feeding the GPU back stage (`HybridSdPipeline`).
-    #[test]
-    fn single_tenant_matches_dedicated_bitwise_on_gpu(
-        rate in 300.0f64..3000.0,
-        seed in 0u64..50,
-    ) {
-        let server = ServerType::T7.spec();
-        let gpu_plan = PlacementPlan::GpuModel {
-            colocated: 3,
-            fusion_limit: Some(2048),
-            host_sparse_threads: 0,
-            host_batch: 256,
-        };
-        let hybrid_plan = PlacementPlan::HybridSdPipeline {
-            sparse_threads: 8,
-            sparse_workers: 2,
-            gpu_colocated: 2,
-            fusion_limit: Some(2000),
-            batch: 256,
-        };
-        for (plan, scale) in [(gpu_plan, ModelScale::Small), (hybrid_plan, ModelScale::Production)] {
-            let model = RecModel::build(ModelKind::DlrmRmc3, scale);
-            let cfg = quick(seed);
-            let luts = NmpLutCache::new();
-            let dedicated =
-                hercules_sim::simulate_cached(&model, &server, &plan, Qps(rate), &cfg, &luts)
-                    .unwrap();
-            let co_cfg = ColocationConfig::new(cfg, vec![TenantSpec::new(model, Qps(rate))]);
-            let co = simulate_colocated(&server, &plan, &co_cfg, &luts).unwrap();
-            for rep in [&co.aggregate, &co.per_tenant[0]] {
-                prop_assert_eq!(rep.completed, dedicated.completed);
-                prop_assert_eq!(rep.total_arrivals, dedicated.total_arrivals);
-                prop_assert_eq!(rep.in_flight_at_horizon, dedicated.in_flight_at_horizon);
-                prop_assert_eq!(rep.mean_latency, dedicated.mean_latency);
-                prop_assert_eq!(rep.p99, dedicated.p99);
-                prop_assert_eq!(rep.breakdown.queuing, dedicated.breakdown.queuing);
-                prop_assert_eq!(rep.breakdown.loading, dedicated.breakdown.loading);
-                prop_assert_eq!(rep.breakdown.inference, dedicated.breakdown.inference);
-                prop_assert_eq!(
-                    rep.mean_power.value().to_bits(),
-                    dedicated.mean_power.value().to_bits()
-                );
-                prop_assert_eq!(rep.gpu_activity.to_bits(), dedicated.gpu_activity.to_bits());
-                prop_assert_eq!(
-                    rep.pcie_activity.to_bits(),
-                    dedicated.pcie_activity.to_bits()
-                );
-            }
         }
     }
 

@@ -8,9 +8,8 @@
 //!
 //! The calibrated scenario lives in `hercules::scenarios::colocation_demo`
 //! (one source of truth with the example and the `fig_colocation` bench).
-//! The companion single-tenant regression —
-//! `crates/sim/tests/colocation_props.rs` — proves the dedicated path's
-//! output is bitwise unchanged.
+//! `tests/golden_sim.rs` pins this scenario's shared-server report bit for
+//! bit.
 
 use hercules::core::cluster::online::run_online_colocated;
 use hercules::core::cluster::policies::{ColocationScheduler, HerculesScheduler, SolverChoice};
