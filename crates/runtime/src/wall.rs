@@ -173,7 +173,7 @@ fn account_retired(t: &mut WorkerTelemetry, r: &Retired, in_window: bool, on_tim
 }
 
 /// Touches every batch size the run can dispatch through each stage's
-/// memoized cost oracle, so steady-state `service_cost_shared` calls are
+/// memoized cost oracle, so steady-state `service_cost` calls are
 /// pure cache hits (a cold miss mid-run would heap-allocate a `BatchCost`
 /// on the serving path).
 fn prewarm_oracles(stages: &Stages, queries: &[Query]) {
@@ -187,18 +187,18 @@ fn prewarm_oracles(stages: &Stages, queries: &[Query]) {
     }
     for &s in &sizes {
         if let Some((oracle, _)) = stages.front {
-            let _ = oracle.service_cost_shared(s);
+            let _ = oracle.service_cost(s);
         }
         match stages.back {
             BackKind::Host { oracle, .. } => {
-                let _ = oracle.service_cost_shared(s);
+                let _ = oracle.service_cost(s);
             }
             BackKind::Gpu {
                 oracle,
                 fusion_limit: None,
                 ..
             } => {
-                let _ = oracle.service_cost_shared(s);
+                let _ = oracle.service_cost(s);
             }
             _ => {}
         }
@@ -213,10 +213,10 @@ fn prewarm_oracles(stages: &Stages, queries: &[Query]) {
         // quantization bucket warms them all.
         let mut items = 1u32;
         while items <= limit {
-            let _ = oracle.service_cost_shared(items);
+            let _ = oracle.service_cost(items);
             items = items.saturating_add(32);
         }
-        let _ = oracle.service_cost_shared(limit);
+        let _ = oracle.service_cost(limit);
     }
 }
 
@@ -461,7 +461,7 @@ pub(crate) fn run_trace(
                                 }
                             }
                             let wait = now.saturating_since(sub.ready);
-                            let cost = oracle.service_cost_shared(sub.items);
+                            let cost = oracle.service_cost(sub.items);
                             table.add_queuing(&sub, wait);
                             let degrade = supervised && controls.degrade_gather();
                             let derate = if faulty {
@@ -653,7 +653,7 @@ pub(crate) fn run_trace(
                                 }
                             }
                             let wait = now.saturating_since(sub.ready);
-                            let cost = oracle.service_cost_shared(sub.items);
+                            let cost = oracle.service_cost(sub.items);
                             table.add_queuing(&sub, wait);
                             let mut svc = cost.latency;
                             if faulty {
@@ -775,7 +775,7 @@ pub(crate) fn run_trace(
                             clock.busy_wait(load_dur);
                             load_start
                         };
-                        let cost = oracle.service_cost_shared(batch.items);
+                        let cost = oracle.service_cost(batch.items);
                         let head_wait = load_start
                             .saturating_since(batch.subs.first().map_or(load_start, |s| s.ready));
                         let compute_start = clock.now();

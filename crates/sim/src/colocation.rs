@@ -20,6 +20,12 @@
 //! exactly `1.0`, tenant 0's query stream is the dedicated stream
 //! ([`QueryStream::tenant`] with index 0), and round-robin over one queue is
 //! FIFO. `tests/golden_sim.rs` pins the reports bit for bit.
+//!
+//! Arrivals are always replayed from [`StreamDraws`], the rate-free record
+//! of each tenant's stream, so the knee search can share one record across
+//! all of its probes.
+//!
+//! [`QueryStream::tenant`]: hercules_workload::generator::QueryStream::tenant
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -28,11 +34,11 @@ use hercules_common::units::{Joules, Qps, SimDuration, SimTime};
 use hercules_hw::cost::{colocation_derate, pcie_transfer_time};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
-use hercules_workload::generator::QueryStream;
+use hercules_workload::generator::StreamDraws;
 
-use crate::config::{ColocationConfig, PlacementPlan, PlanError, SimConfig};
+use crate::config::{ColocationConfig, PlacementPlan, PlanError, SimConfig, SlaSpec};
 use crate::engine::{split_iter, summarize_load, Buckets, HeapEntry, LoadSummary, MeasureWindow};
-use crate::metrics::{ColocationReport, LatencyBreakdown, SimReport};
+use crate::metrics::{late_budget, ColocationReport, LatencyBreakdown, SimReport};
 use crate::service::{build_topology, BackStage, Topology};
 
 /// Per-query record, indexed by the query's position in the merged
@@ -180,6 +186,15 @@ struct TenantStats {
     sum_inference: f64,
 }
 
+/// Stops a one-tenant run as soon as it is certain to miss an SLA: more
+/// measured completions over `target` than [`late_budget`] allows.
+#[derive(Debug, Clone, Copy)]
+struct FailFast {
+    target: SimDuration,
+    budget: u64,
+    late: u64,
+}
+
 /// The server-wide figures every report of one run shares.
 struct ServerFigures {
     load: LoadSummary,
@@ -275,6 +290,9 @@ struct Engine<'a> {
     front_idle_weighted: f64,
     front_busy_weight: f64,
     total_nmp_j: f64,
+    fail_fast: Option<FailFast>,
+    /// Set once `fail_fast` has seen enough late completions.
+    failed: bool,
 }
 
 impl<'a> Engine<'a> {
@@ -351,7 +369,8 @@ impl<'a> Engine<'a> {
             };
             let thread = self.front_free.pop().expect("non-empty");
             let sub = self.front_queues[t].pop_front().expect("backlogged");
-            let front = self.topos[t].front.as_ref().expect("uniform tenant shape");
+            let topos = self.topos;
+            let front = topos[t].front.as_ref().expect("uniform tenant shape");
             let cost = front.svc.cost(sub.items);
             let factor = self.derate_for(t, now);
             let svc_latency = Self::derated(cost.latency, factor);
@@ -384,7 +403,8 @@ impl<'a> Engine<'a> {
             };
             let thread = self.back_free.pop().expect("non-empty");
             let sub = self.back_queues[t].pop_front().expect("backlogged");
-            let BackStage::HostPool { svc, .. } = &self.topos[t].back else {
+            let topos = self.topos;
+            let BackStage::HostPool { svc, .. } = &topos[t].back else {
                 unreachable!("uniform tenant shapes");
             };
             let cost = svc.cost(sub.items);
@@ -472,6 +492,14 @@ impl<'a> Engine<'a> {
             stats.completed += 1;
             let lat_s = now.saturating_since(rec.arrival).as_secs_f64();
             stats.latency.record(lat_s);
+            if let Some(ff) = &mut self.fail_fast {
+                // Judge the latency as the report will: rounded back to
+                // whole nanoseconds.
+                if SimDuration::from_secs_f64(lat_s) > ff.target {
+                    ff.late += 1;
+                    self.failed |= ff.late > ff.budget;
+                }
+            }
             if let Some(agg) = &mut self.agg_latency {
                 agg.record(lat_s);
             }
@@ -481,11 +509,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs to the horizon. Arrivals are taken in order straight from the
-    /// query records, ahead of any queued event at the same instant.
+    /// Runs to the horizon, or until `fail_fast` trips. Arrivals are taken
+    /// in order straight from the query records, ahead of any queued event
+    /// at the same instant.
     fn run(&mut self) {
         let mut next_arrival = 0;
-        loop {
+        while !self.failed {
             let next_event = self.heap.peek().map(|e| e.time);
             if let Some(q) = self.queries.get(next_arrival) {
                 if next_event.map_or(true, |t| q.arrival <= t) {
@@ -527,7 +556,8 @@ impl<'a> Engine<'a> {
                 Ev::Loaded { ctx, batch } => {
                     let t = self.batches[batch].tenant as usize;
                     let items = self.batches[batch].items;
-                    let BackStage::Gpu { svc, colocated, .. } = &self.topos[t].back else {
+                    let topos = self.topos;
+                    let BackStage::Gpu { svc, colocated, .. } = &topos[t].back else {
                         unreachable!("Loaded only fires with a GPU stage");
                     };
                     let cost = svc.cost(items);
@@ -567,35 +597,51 @@ impl<'a> Engine<'a> {
 }
 
 /// Runs the engine: `tenants[i] = (offered, share)` is served over
-/// `topos[i]`, every topology sharing the pools sized by `topos[0]`.
+/// `topos[i]`, every topology sharing the pools sized by `topos[0]`, with
+/// tenant `i`'s arrivals replayed from `draws[i]` (the record of
+/// `StreamDraws::tenant(sim.seed, i)`).
+///
+/// With `fail_fast`, a one-tenant run stops as soon as it is certain to
+/// miss that SLA; its report then still fails [`SimReport::meets`] but is
+/// otherwise partial. Without it, every run reaches the horizon.
 ///
 /// Callers have validated the loads and checked that the topologies share
 /// one shape. With one tenant the aggregate is that tenant's report.
 pub(crate) fn run(
     topos: &[Topology],
     tenants: &[(Qps, f64)],
+    draws: &mut [StreamDraws],
     server: &ServerSpec,
     sim: &SimConfig,
+    fail_fast: Option<&SlaSpec>,
 ) -> ColocationReport {
     let n = tenants.len();
+    debug_assert_eq!(draws.len(), n, "one draw record per tenant");
+    debug_assert!(fail_fast.is_none() || n == 1, "fail-fast judges one tenant");
     let window = MeasureWindow::new(sim.duration, sim.warmup_fraction, sim.drain_margin);
 
     // Per-tenant arrival streams (tenant 0 is the dedicated stream), merged
     // into one arrival order; the stable sort keeps tenant order at ties.
     let mut stats: Vec<TenantStats> = (0..n).map(|_| TenantStats::default()).collect();
     let mut queries = Vec::new();
-    for (i, &(offered, _)) in tenants.iter().enumerate() {
-        let qs = QueryStream::tenant(offered, sim.seed, i as u32).take_until(window.horizon);
-        stats[i].total_arrivals = qs.len() as u64;
-        stats[i].measured_arrivals =
-            qs.iter().filter(|q| window.measures(q.arrival)).count() as u64;
-        queries.extend(qs.iter().map(|q| QueryRec {
-            arrival: q.arrival,
-            tenant: i as u32,
-            size: q.size,
-            ..QueryRec::default()
-        }));
+    for (i, (&(offered, _), record)) in tenants.iter().zip(draws).enumerate() {
+        let st = &mut stats[i];
+        record.arrivals_until(offered, window.horizon, |arrival, size| {
+            st.total_arrivals += 1;
+            st.measured_arrivals += u64::from(window.measures(arrival));
+            queries.push(QueryRec {
+                arrival,
+                tenant: i as u32,
+                size,
+                ..QueryRec::default()
+            });
+        });
     }
+    let fail_fast = fail_fast.map(|sla| FailFast {
+        target: sla.target,
+        budget: late_budget(stats[0].measured_arrivals, sla.percentile),
+        late: 0,
+    });
     if n > 1 {
         queries.sort_by_key(|q| q.arrival);
     }
@@ -637,6 +683,8 @@ pub(crate) fn run(
         front_idle_weighted: 0.0,
         front_busy_weight: 0.0,
         total_nmp_j: 0.0,
+        fail_fast,
+        failed: false,
     };
     engine.run();
 
@@ -752,7 +800,10 @@ pub fn simulate_colocated(
         return Err(PlanError::TenantShapeMismatch);
     }
     let tenants: Vec<(Qps, f64)> = cfg.tenants.iter().map(|t| (t.offered, t.share)).collect();
-    Ok(run(&topos, &tenants, server, &cfg.sim))
+    let mut draws: Vec<StreamDraws> = (0..tenants.len() as u32)
+        .map(|i| StreamDraws::tenant(cfg.sim.seed, i))
+        .collect();
+    Ok(run(&topos, &tenants, &mut draws, server, &cfg.sim, None))
 }
 
 #[cfg(test)]

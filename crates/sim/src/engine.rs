@@ -16,9 +16,10 @@ use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::power::{Activity, PowerModel};
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
+use hercules_workload::generator::StreamDraws;
 
 use crate::colocation;
-use crate::config::{check_tenant_load, PlacementPlan, PlanError, SimConfig};
+use crate::config::{check_tenant_load, PlacementPlan, PlanError, SimConfig, SlaSpec};
 use crate::metrics::SimReport;
 use crate::service::{build_topology, Topology};
 
@@ -320,8 +321,37 @@ pub fn simulate_with_topology(
     offered: Qps,
     cfg: &SimConfig,
 ) -> Result<SimReport, PlanError> {
+    run_dedicated(
+        topo,
+        server,
+        offered,
+        cfg,
+        &mut StreamDraws::tenant(cfg.seed, 0),
+        None,
+    )
+}
+
+/// [`simulate_with_topology`] with arrivals replayed from `draws` (the
+/// record of `StreamDraws::tenant(cfg.seed, 0)`, possibly already grown
+/// by earlier runs) and, with `fail_fast`, a stop as soon as the run is
+/// certain to miss that SLA (see [`colocation::run`]).
+pub(crate) fn run_dedicated(
+    topo: &Topology,
+    server: &ServerSpec,
+    offered: Qps,
+    cfg: &SimConfig,
+    draws: &mut StreamDraws,
+    fail_fast: Option<&SlaSpec>,
+) -> Result<SimReport, PlanError> {
     check_tenant_load(0, offered, 1.0)?;
-    let report = colocation::run(std::slice::from_ref(topo), &[(offered, 1.0)], server, cfg);
+    let report = colocation::run(
+        std::slice::from_ref(topo),
+        &[(offered, 1.0)],
+        std::slice::from_mut(draws),
+        server,
+        cfg,
+        fail_fast,
+    );
     Ok(report.aggregate)
 }
 

@@ -32,6 +32,37 @@ impl LatencyBreakdown {
     }
 }
 
+/// The quantiles a [`SimReport`] carries: `p50`, `p95` and `p99`.
+const REPORTED_QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// Index into [`REPORTED_QUANTILES`] of the quantile an SLA `percentile`
+/// snaps to: the nearest reported one.
+fn snap(percentile: f64) -> usize {
+    if percentile <= 0.725 {
+        0
+    } else if percentile <= 0.97 {
+        1
+    } else {
+        2
+    }
+}
+
+/// How many of `measured` completed queries may exceed an SLA's target at
+/// `percentile` before the run is certain to miss it, whatever happens to
+/// the rest.
+///
+/// With `n` measured completions, the snapped quantile `p` is the
+/// `ceil(p·n)`-th smallest latency (nearest rank, as
+/// [`PercentileTracker`](hercules_common::stats::PercentileTracker) takes
+/// it), so the tail is late exactly when more than `n − ceil(p·n)`
+/// completions are late. That bound never decreases as `n` grows, and `n`
+/// never exceeds the measured arrivals, so more late completions than the
+/// bound at `measured` fails the SLA for every final `n`.
+pub(crate) fn late_budget(measured: u64, percentile: f64) -> u64 {
+    let p = REPORTED_QUANTILES[snap(percentile)];
+    measured - (p * measured as f64).ceil() as u64
+}
+
 /// Everything a simulation run measures.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -84,13 +115,7 @@ impl SimReport {
     /// The tail latency at `percentile` (supported: 0.5, 0.95, 0.99;
     /// other values snap to the nearest of those).
     pub fn tail(&self, percentile: f64) -> SimDuration {
-        if percentile <= 0.725 {
-            self.p50
-        } else if percentile <= 0.97 {
-            self.p95
-        } else {
-            self.p99
-        }
+        [self.p50, self.p95, self.p99][snap(percentile)]
     }
 
     /// Whether the run satisfies `sla`: the tail is within target *and* the
@@ -191,6 +216,32 @@ mod tests {
                 inference: SimDuration::from_millis(5),
             },
         }
+    }
+
+    #[test]
+    fn late_budget_never_decreases_with_completions() {
+        for p in [0.5, 0.95, 0.99] {
+            let mut last = 0;
+            for n in 0..=1_000_000u64 {
+                let b = late_budget(n, p);
+                assert!(
+                    b >= last,
+                    "p {p}: budget fell from {last} to {b} at n = {n}"
+                );
+                last = b;
+            }
+        }
+    }
+
+    #[test]
+    fn late_budget_matches_nearest_rank() {
+        // 95th of 20 is the 19th smallest: one late sample is tolerated.
+        assert_eq!(late_budget(20, 0.95), 1);
+        assert_eq!(late_budget(100, 0.99), 1);
+        assert_eq!(late_budget(101, 0.5), 50);
+        assert_eq!(late_budget(0, 0.95), 0);
+        // Unreported percentiles snap like `tail`.
+        assert_eq!(late_budget(100, 0.9), late_budget(100, 0.95));
     }
 
     #[test]

@@ -6,16 +6,32 @@
 //! [`search_knee`] holds the search itself; the live runtime's search
 //! (`hercules_runtime::max_qps_under_sla_live`) runs it with a runtime
 //! probe instead of a simulation.
+//!
+//! Every step of the offline task search runs one knee search, so
+//! [`max_qps_under_sla`] keeps its probes cheap without changing a result:
+//!
+//! - **Shared draws.** All probes replay one seed's stream at different
+//!   rates. A probe's arrival gaps are `-ln(u) / rate` and its sizes do not
+//!   depend on the rate, so the search keeps one
+//!   [`StreamDraws`] record of the rate-free draws and replays it at each
+//!   probe's rate, bit-identical to a fresh stream.
+//! - **Early exit for failed probes.** The search keeps only passing
+//!   reports. A probe stops as soon as more measured completions are late
+//!   than the SLA's quantile allows over all measured arrivals
+//!   (`late_budget` in `metrics`); from then on it cannot pass. A passing
+//!   probe always runs to its horizon, so every report the search returns
+//!   is the full run's. The public `simulate*` calls never stop early.
 
 use hercules_common::units::{Qps, SimDuration};
 use hercules_hw::nmp::NmpLutCache;
 use hercules_hw::server::ServerSpec;
 use hercules_model::zoo::RecModel;
+use hercules_workload::generator::StreamDraws;
 
 use crate::config::{PlacementPlan, PlanError, SimConfig, SlaSpec};
-use crate::engine::simulate_with_topology;
+use crate::engine::run_dedicated;
 use crate::metrics::SimReport;
-use crate::service::build_topology;
+use crate::service::{build_topology, Topology};
 
 /// Result of a latency-bounded throughput search.
 #[derive(Debug, Clone)]
@@ -64,6 +80,33 @@ pub struct Probe {
     pub drain_margin: SimDuration,
 }
 
+impl Probe {
+    /// The probe of a knee search at `rate`, sized from the caller's run
+    /// `duration` and `drain_margin`.
+    fn sized(
+        rate: Qps,
+        sla: &SlaSpec,
+        opts: &SearchOptions,
+        duration: SimDuration,
+        drain_margin: SimDuration,
+    ) -> Probe {
+        // Size the run by query count, not wall time: low-rate probes
+        // stretch their horizon (they are cheap — few events), keeping
+        // tail-percentile estimates equally sampled at every rate.
+        let duration = opts.target_queries.map_or(duration, |target| {
+            SimDuration::from_secs_f64((target as f64 / rate.value()).clamp(0.4, 900.0))
+        });
+        // SLA-compliant queries arriving within ~2 targets of the horizon
+        // could not drain in time; exclude them from measurement so low-rate
+        // probes are not penalized for end-of-run truncation.
+        Probe {
+            rate,
+            duration,
+            drain_margin: drain_margin.max(sla.target * 2),
+        }
+    }
+}
+
 /// The knee search behind every latency-bounded throughput measurement:
 /// geometric ramp from `opts.start` to bracket the knee, then bisection.
 /// `measure` runs one [`Probe`] on whichever backend the caller wraps; the
@@ -86,22 +129,7 @@ pub fn search_knee(
     if !(opts.start.value().is_finite() && opts.start.value() > 0.0) {
         return Err(PlanError::BadSearchStart);
     }
-    let mut eval = |rate: Qps| {
-        // Size the run by query count, not wall time: low-rate probes
-        // stretch their horizon (they are cheap — few events), keeping
-        // tail-percentile estimates equally sampled at every rate.
-        let duration = opts.target_queries.map_or(duration, |target| {
-            SimDuration::from_secs_f64((target as f64 / rate.value()).clamp(0.4, 900.0))
-        });
-        // SLA-compliant queries arriving within ~2 targets of the horizon
-        // could not drain in time; exclude them from measurement so low-rate
-        // probes are not penalized for end-of-run truncation.
-        measure(Probe {
-            rate,
-            duration,
-            drain_margin: drain_margin.max(sla.target * 2),
-        })
-    };
+    let mut eval = |rate: Qps| measure(Probe::sized(rate, sla, opts, duration, drain_margin));
 
     // Geometric ramp to bracket the knee.
     let mut lo_rate = opts.start;
@@ -181,19 +209,38 @@ pub fn max_qps_under_sla(
     luts: &NmpLutCache,
 ) -> Result<Option<SlaSearchOutcome>, PlanError> {
     let topo = build_topology(model, server, plan, luts)?;
+    let mut draws = StreamDraws::tenant(cfg.seed, 0);
     search_knee(sla, opts, cfg.duration, cfg.drain_margin, |p| {
-        let run_cfg = SimConfig {
-            duration: p.duration,
-            drain_margin: p.drain_margin,
-            ..*cfg
-        };
-        simulate_with_topology(&topo, server, p.rate, &run_cfg)
+        probe(&topo, server, cfg, p, &mut draws, sla)
     })
+}
+
+/// One probe of [`max_qps_under_sla`]: the dedicated run at `p`, replaying
+/// the search's shared `draws` and stopping early once it is certain to
+/// miss `sla`. Its verdict equals that of the full
+/// [`simulate_with_topology`] run, and so does its report when it passes.
+///
+/// [`simulate_with_topology`]: crate::simulate_with_topology
+fn probe(
+    topo: &Topology,
+    server: &ServerSpec,
+    cfg: &SimConfig,
+    p: Probe,
+    draws: &mut StreamDraws,
+    sla: &SlaSpec,
+) -> Result<SimReport, PlanError> {
+    let run_cfg = SimConfig {
+        duration: p.duration,
+        drain_margin: p.drain_margin,
+        ..*cfg
+    };
+    run_dedicated(topo, server, p.rate, &run_cfg, draws, Some(sla))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::simulate_with_topology;
     use hercules_common::units::SimDuration;
     use hercules_hw::server::ServerType;
     use hercules_model::zoo::{ModelKind, ModelScale};
@@ -303,6 +350,90 @@ mod tests {
             .unwrap_err();
             assert_eq!(err, PlanError::BadSearchStart, "start {start}");
         }
+    }
+
+    /// The early exit never changes a verdict: across CPU, S-D pipeline
+    /// and GPU plans and rates from far below to far above each knee, a
+    /// probe passes exactly when the full-horizon run meets the SLA, and a
+    /// passing probe's report is the full run's, bit for bit. Besides the
+    /// model's SLA, each run is also judged at each reported quantile with
+    /// the target set to the full run's own tail (a pass with exactly as
+    /// many late completions as the bound allows) and 1 ns below it.
+    #[test]
+    fn fail_fast_probe_verdict_matches_full_run() {
+        let cases = [
+            (
+                ModelKind::DlrmRmc1,
+                ServerType::T2,
+                PlacementPlan::CpuModel {
+                    threads: 10,
+                    workers: 2,
+                    batch: 256,
+                },
+            ),
+            (
+                ModelKind::DlrmRmc1,
+                ServerType::T5,
+                PlacementPlan::CpuSdPipeline {
+                    sparse_threads: 6,
+                    sparse_workers: 2,
+                    dense_threads: 8,
+                    batch: 128,
+                },
+            ),
+            (
+                ModelKind::DlrmRmc2,
+                ServerType::T7,
+                PlacementPlan::GpuModel {
+                    colocated: 2,
+                    fusion_limit: Some(2048),
+                    host_sparse_threads: 8,
+                    host_batch: 256,
+                },
+            ),
+        ];
+        let luts = NmpLutCache::new();
+        let mut stopped_early = 0;
+        for (kind, stype, plan) in cases {
+            let m = RecModel::build(kind, ModelScale::Production);
+            let server = stype.spec();
+            let sla = SlaSpec::p95(m.default_sla());
+            let knee = max_qps_under_sla(&m, &server, &plan, &sla, &cfg(), &opts(), &luts)
+                .unwrap()
+                .expect("plan serves load")
+                .qps
+                .value();
+            let topo = build_topology(&m, &server, &plan, &luts).unwrap();
+            let mut draws = StreamDraws::tenant(cfg().seed, 0);
+            for f in [0.25, 0.8, 0.95, 1.0, 1.02, 1.05, 1.1, 1.25, 1.5, 2.0, 4.0] {
+                let rate = Qps(knee * f);
+                let p = Probe::sized(rate, &sla, &opts(), cfg().duration, cfg().drain_margin);
+                let run_cfg = SimConfig {
+                    duration: p.duration,
+                    drain_margin: p.drain_margin,
+                    ..cfg()
+                };
+                let full = simulate_with_topology(&topo, &server, rate, &run_cfg).unwrap();
+                let mut judges = vec![sla];
+                for (percentile, tail) in [(0.5, full.p50), (0.95, full.p95), (0.99, full.p99)] {
+                    for target in [tail, tail.saturating_sub(SimDuration::from_nanos(1))] {
+                        judges.push(SlaSpec { target, percentile });
+                    }
+                }
+                for judge in judges {
+                    let fast = probe(&topo, &server, &cfg(), p, &mut draws, &judge).unwrap();
+                    let what = format!("{} {plan:?} at {f} x knee, {judge:?}", m.name());
+                    assert_eq!(fast.meets(&judge), full.meets(&judge), "{what}");
+                    if full.meets(&judge) {
+                        assert_eq!(format!("{fast:?}"), format!("{full:?}"), "{what}");
+                    }
+                    if fast.completed_total + fast.in_flight_at_horizon < fast.total_arrivals {
+                        stopped_early += 1;
+                    }
+                }
+            }
+        }
+        assert!(stopped_early > 0, "no probe exercised the early exit");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! explicit caller-owned [`NmpLutCache`] — no process-global state, so
 //! parallel evaluations decide their own sharing.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hercules_common::units::MemBytes;
 use hercules_hw::cost::{
@@ -32,6 +33,11 @@ fn quantize(items: u32) -> u32 {
     items.div_ceil(BATCH_QUANTUM).max(1) * BATCH_QUANTUM
 }
 
+/// Quantized batches up to this many items are memoized in a dense
+/// lock-free table: every plan batch and fusion limit the task search
+/// visits (up to 8,192 items) has its own slot.
+const TABLE_ITEMS: u32 = 8_192;
+
 /// Where a stage executes.
 #[derive(Debug, Clone)]
 enum StageDevice {
@@ -49,9 +55,14 @@ enum StageDevice {
 
 /// A memoized per-batch cost function for one pipeline stage.
 ///
-/// The memo table sits behind a [`Mutex`] (not a `RefCell`) so a built
-/// [`Topology`] is `Send + Sync`: parallel searchers can build and drive
-/// topologies from worker threads.
+/// Batch sizes are quantized to 32 items. Quantized sizes up to 8,192
+/// items are priced once into a dense table of [`OnceLock`] slots, one per
+/// quantum: a warmed lookup is an index and an atomic load, takes no lock
+/// and allocates nothing, and [`StageService::cost`] lends the cost out
+/// without copying it. Larger batches fall back to a [`Mutex`]-guarded
+/// map. Both memos are thread-safe, so a built [`Topology`] is
+/// `Send + Sync` and parallel searchers can drive topologies from worker
+/// threads.
 #[derive(Debug)]
 pub struct StageService {
     graph: Graph,
@@ -60,7 +71,10 @@ pub struct StageService {
     /// Embedding-tier cache plan for CPU stages on cache-provisioned
     /// servers (`ServerSpec::cache`); `None` keeps costs cache-oblivious.
     cache_model: Option<CacheModel>,
-    cache: Mutex<HashMap<u32, Arc<BatchCost>>>,
+    /// Slot `i` holds the cost of a `32 * (i + 1)`-item batch.
+    table: Box<[OnceLock<Arc<BatchCost>>]>,
+    /// Quantized sizes past the table.
+    overflow: Mutex<HashMap<u32, Arc<BatchCost>>>,
 }
 
 impl StageService {
@@ -78,25 +92,32 @@ impl StageService {
             tables,
             device,
             cache_model,
-            cache: Mutex::new(HashMap::new()),
+            table: (0..TABLE_ITEMS / BATCH_QUANTUM)
+                .map(|_| OnceLock::new())
+                .collect(),
+            overflow: Mutex::new(HashMap::new()),
         }
     }
 
     /// Cost of one batch of `items` through this stage (quantized and
-    /// memoized).
-    pub fn cost(&self, items: u32) -> BatchCost {
-        (*self.cost_shared(items)).clone()
+    /// memoized): borrowed from the dense table, or shared from the
+    /// overflow memo for batches past it. Either way nothing is copied.
+    pub fn cost(&self, items: u32) -> Cow<'_, Arc<BatchCost>> {
+        let q = quantize(items);
+        match self.table.get((q / BATCH_QUANTUM - 1) as usize) {
+            Some(slot) => Cow::Borrowed(slot.get_or_init(|| Arc::new(self.price(q)))),
+            None => {
+                let mut overflow = self.overflow.lock().expect("stage cost memo poisoned");
+                Cow::Owned(Arc::clone(
+                    overflow.entry(q).or_insert_with(|| Arc::new(self.price(q))),
+                ))
+            }
+        }
     }
 
-    /// [`StageService::cost`] behind shared ownership: a cache hit clones
-    /// only the `Arc`, so the runtime's dispatch loop stays heap-allocation
-    /// free once every quantized batch size has been priced.
-    pub fn cost_shared(&self, items: u32) -> Arc<BatchCost> {
-        let q = quantize(items);
-        if let Some(c) = self.cache.lock().expect("stage cache poisoned").get(&q) {
-            return Arc::clone(c);
-        }
-        let cost = match &self.device {
+    /// Prices one batch of `q` (already quantized) items.
+    fn price(&self, q: u32) -> BatchCost {
+        match &self.device {
             StageDevice::Cpu {
                 server,
                 workers,
@@ -120,13 +141,7 @@ impl StageService {
                 };
                 gpu_batch_cost(&self.graph, q as u64, &self.tables, &cfg)
             }
-        };
-        let cost = Arc::new(cost);
-        self.cache
-            .lock()
-            .expect("stage cache poisoned")
-            .insert(q, Arc::clone(&cost));
-        cost
+        }
     }
 
     /// The stage's graph (for inspection/tests).
@@ -152,16 +167,14 @@ impl StageService {
 }
 
 /// `StageService` is the canonical service-time oracle: the discrete-event
-/// engines call [`StageService::cost`] directly, and the live serving
-/// runtime prices its batches through this trait so other oracles
-/// (profiles, synthetic test models) can stand in.
+/// engine borrows from [`StageService::cost`] directly, and the live
+/// serving runtime prices its batches through this trait so other oracles
+/// (profiles, synthetic test models) can stand in. A warmed lookup clones
+/// only the `Arc`, so the runtime's dispatch loop stays heap-allocation
+/// free once every quantized batch size has been priced.
 impl hercules_hw::cost::ServiceOracle for StageService {
-    fn service_cost(&self, items: u32) -> BatchCost {
-        self.cost(items)
-    }
-
-    fn service_cost_shared(&self, items: u32) -> Arc<BatchCost> {
-        self.cost_shared(items)
+    fn service_cost(&self, items: u32) -> Arc<BatchCost> {
+        self.cost(items).into_owned()
     }
 }
 

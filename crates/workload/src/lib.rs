@@ -21,6 +21,6 @@ pub mod query;
 pub mod trace;
 
 pub use diurnal::DiurnalPattern;
-pub use generator::{PoissonArrivals, QueryStream};
+pub use generator::{QueryStream, StreamDraws};
 pub use query::{PoolingDist, Query, QueryId, QuerySizeDist};
 pub use trace::QueryTrace;
