@@ -403,7 +403,7 @@ pub fn run_virtual_fleet(
         })
         .collect();
 
-    FleetReport {
+    let report = FleetReport {
         offered,
         arrivals: queries.len() as u64,
         routed,
@@ -414,5 +414,7 @@ pub fn run_virtual_fleet(
         drained,
         peak_active,
         replicas,
-    }
+    };
+    debug_assert!(report.conserves(), "fleet run does not conserve");
+    report
 }

@@ -688,9 +688,10 @@ impl Supervisor {
 
 /// The oracle-priced latency of a *degraded* gather: serve only the
 /// cache-resident share `keep` of the sparse phase and skip the cold-miss
-/// penalty, keeping the dense share intact. Mirrors the wall executor's
-/// `dense_residual` split: with no per-op breakdown (synthetic test
-/// oracles) the full latency is charged.
+/// penalty, keeping the dense share intact. With `keep = 0` this is the
+/// dense residual the wall clock still busy-waits around a real gather.
+/// With no per-op breakdown (synthetic test oracles) the full latency is
+/// charged.
 pub(crate) fn degraded_latency(cost: &BatchCost, keep: f64) -> SimDuration {
     let total: f64 = cost.per_op.iter().map(|o| o.duration.as_secs_f64()).sum();
     if total <= 0.0 {

@@ -35,6 +35,10 @@
 //!   ([`affinity`]), and the hot path is allocation-free in steady state
 //!   (auditable via [`telemetry::CountingAlloc`]).
 //!
+//! Both clocks make every serving decision — admission, pricing, batching,
+//! retirement — through one clock-free dispatcher, so they differ only in
+//! how they execute it.
+//!
 //! ```no_run
 //! use hercules_runtime::{RuntimeConfig, ServingRuntime};
 //! use hercules_sim::{NmpLutCache, PlacementPlan, SimConfig};
@@ -64,6 +68,7 @@ pub mod serve;
 pub mod telemetry;
 pub mod trace;
 
+mod dispatch;
 mod queue;
 mod stage;
 mod virt;

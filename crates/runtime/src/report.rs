@@ -225,7 +225,8 @@ pub(crate) struct RunTotals {
 /// Folds per-worker telemetry into the final report. Workers are merged
 /// in pool-then-index order, so the fold is deterministic whenever the
 /// per-worker contents are (virtual mode's bitwise reproducibility
-/// depends on this).
+/// depends on this). Debug builds check the conservation law
+/// ([`RuntimeReport::conserves`]) on every report, whichever clock ran.
 pub(crate) fn assemble(
     server: &ServerSpec,
     cfg: &RuntimeConfig,
@@ -364,7 +365,7 @@ pub(crate) fn assemble(
         },
     };
 
-    RuntimeReport {
+    let report = RuntimeReport {
         sim,
         admitted: totals.admitted,
         shed: totals.shed,
@@ -383,7 +384,17 @@ pub(crate) fn assemble(
         hot_allocs,
         hot_samples,
         trace,
-    }
+    };
+    debug_assert!(
+        report.conserves(),
+        "run does not conserve: {} arrivals != {} completed + {} expired + {} shed + {} in flight",
+        report.sim.total_arrivals,
+        report.sim.completed_total,
+        report.expired,
+        report.shed,
+        report.sim.in_flight_at_horizon,
+    );
+    report
 }
 
 fn summarize_stages(workers: &[WorkerTelemetry]) -> Vec<StageSummary> {

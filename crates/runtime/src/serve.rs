@@ -41,7 +41,9 @@ impl ServingRuntime {
     /// # Errors
     ///
     /// Returns a [`PlanError`] when the plan is infeasible on this
-    /// server/model pair (same validation as the simulator).
+    /// server/model pair (same validation as the simulator), or
+    /// [`PlanError::BadTimeScale`] when a wall clock's `time_scale` is not
+    /// positive and finite.
     pub fn build(
         model: &RecModel,
         server: ServerSpec,
@@ -49,6 +51,11 @@ impl ServingRuntime {
         cfg: RuntimeConfig,
         luts: &NmpLutCache,
     ) -> Result<Self, PlanError> {
+        if let ClockMode::Wall { time_scale } = cfg.clock {
+            if !(time_scale.is_finite() && time_scale > 0.0) {
+                return Err(PlanError::BadTimeScale);
+            }
+        }
         let topo = build_topology(model, &server, plan, luts)?;
         Ok(ServingRuntime {
             topo,
@@ -56,16 +63,6 @@ impl ServingRuntime {
             cfg,
             arena: OnceLock::new(),
         })
-    }
-
-    /// Wraps a pre-built topology.
-    pub fn from_topology(topo: Topology, server: ServerSpec, cfg: RuntimeConfig) -> Self {
-        ServingRuntime {
-            topo,
-            server,
-            cfg,
-            arena: OnceLock::new(),
-        }
     }
 
     /// The execution topology.
@@ -91,6 +88,11 @@ impl ServingRuntime {
 
     /// [`ServingRuntime::serve`] with an overriding configuration (rate
     /// searches shorten the horizon per probe without rebuilding).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cfg` runs a wall clock whose `time_scale` is not
+    /// positive and finite (the check [`ServingRuntime::build`] makes).
     pub fn serve_with(&self, offered: Qps, cfg: &RuntimeConfig) -> RuntimeReport {
         self.serve_observed_with(offered, cfg, None)
     }

@@ -1,7 +1,9 @@
 //! Shared execution plumbing used by both clock modes: the sub-query unit
-//! of work, lock-free per-query completion state, and the stage view the
-//! executors drive (service-time oracles + pool sizes extracted from a
-//! built [`Topology`]).
+//! of work, lock-free per-query completion state, and the stage view
+//! (service-time oracles + pool sizes extracted from a built
+//! [`Topology`]). Both clocks serve through one
+//! [`Dispatch`](crate::dispatch::Dispatch) over this state, so their
+//! semantics cannot drift: every decision exists once.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -11,6 +13,8 @@ use hercules_hw::device::GpuSpec;
 use hercules_hw::server::ServerSpec;
 use hercules_sim::{BackStage, Topology};
 use hercules_workload::query::Query;
+
+use crate::telemetry::StageKind;
 
 /// A sub-query flowing through the runtime's dispatch queues.
 #[derive(Debug, Clone, Copy)]
@@ -94,6 +98,11 @@ impl QueryTable {
                 })
                 .collect(),
         }
+    }
+
+    /// Reserves room for `additional` more injected queries.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
     }
 
     /// Appends one slot for a query injected after construction (the
@@ -218,8 +227,7 @@ pub(crate) enum BackKind<'a> {
 }
 
 /// Executor-facing view of a built topology: per-stage service oracles and
-/// pool sizes. Both clock modes drive exactly this structure, so their
-/// semantics cannot drift.
+/// pool sizes, read by the shared [`Dispatch`](crate::dispatch::Dispatch).
 #[derive(Clone, Copy)]
 pub(crate) struct Stages<'a> {
     pub front: Option<(&'a dyn ServiceOracle, u32)>,
@@ -259,6 +267,34 @@ impl<'a> Stages<'a> {
             front,
             back,
             split_batch: topo.split_batch,
+        }
+    }
+
+    /// Workers (GPU contexts for [`StageKind::Gpu`]) in `stage`'s pool; 0
+    /// when the plan has no such pool.
+    pub fn workers(&self, stage: StageKind) -> u32 {
+        match (stage, self.back) {
+            (StageKind::Front, _) => self.front.map_or(0, |(_, t)| t),
+            (StageKind::Back, BackKind::Host { threads, .. }) => threads,
+            (StageKind::Gpu, BackKind::Gpu { ctxs, .. }) => ctxs,
+            _ => 0,
+        }
+    }
+
+    /// The service oracle of CPU pool `stage` (front or host back).
+    pub fn cpu_oracle(&self, stage: StageKind) -> &'a dyn ServiceOracle {
+        match (stage, self.front, self.back) {
+            (StageKind::Front, Some((oracle, _)), _) => oracle,
+            (StageKind::Back, _, BackKind::Host { oracle, .. }) => oracle,
+            _ => unreachable!("no CPU pool serves {stage:?}"),
+        }
+    }
+
+    /// The service oracle of the GPU stage.
+    pub fn gpu_oracle(&self) -> &'a dyn ServiceOracle {
+        match self.back {
+            BackKind::Gpu { oracle, .. } => oracle,
+            _ => unreachable!("the plan has no GPU stage"),
         }
     }
 

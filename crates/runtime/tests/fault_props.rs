@@ -14,6 +14,8 @@
 //! 4. **Supervised recovery** — stalled workers are routed around
 //!    (wall-clock work redistribution) and worker panics are contained
 //!    at the pool boundary instead of aborting the run.
+//! 5. **Same attribution on both clocks** — a GPU derate window charges
+//!    the derated compute as inference under the wall clock too.
 
 use hercules_common::units::{Qps, SimDuration, SimTime};
 use hercules_hw::server::ServerType;
@@ -257,5 +259,48 @@ fn wall_panic_is_contained() {
     assert!(
         report.sim.completed_total > 0,
         "the surviving workers kept serving"
+    );
+}
+
+#[test]
+fn wall_gpu_derate_is_attributed_as_inference() {
+    // Both GPU contexts compute 4x slower for the whole horizon, at a load
+    // light enough that batches rarely queue. Both clocks must attribute
+    // the derated compute — not the healthy model latency — as the fused
+    // subs' inference time, so the wall breakdown tracks the virtual one.
+    let model = RecModel::build(ModelKind::DlrmRmc1, ModelScale::Production);
+    let plan = PlacementPlan::GpuModel {
+        colocated: 2,
+        fusion_limit: Some(2048),
+        host_sparse_threads: 0,
+        host_batch: 256,
+    };
+    let sim = sim_cfg(23, SimDuration::from_millis(600));
+    let horizon = SimTime::ZERO + sim.duration;
+    let faults = FaultPlan::none()
+        .with_gpu_fault(0, SimTime::ZERO, horizon, 4.0)
+        .with_gpu_fault(1, SimTime::ZERO, horizon, 4.0);
+    let cfg = RuntimeConfig::from_sim(&sim).with_faults(faults);
+    let serve = |cfg: RuntimeConfig| {
+        ServingRuntime::build(
+            &model,
+            ServerType::T7.spec(),
+            &plan,
+            cfg,
+            &NmpLutCache::new(),
+        )
+        .expect("fused GPU plan is feasible")
+        .serve(Qps(100.0))
+    };
+    let virt = serve(cfg);
+    let wall = serve(cfg.with_clock(ClockMode::Wall { time_scale: 0.5 }));
+    assert!(virt.sim.completed > 0 && wall.sim.completed > 0);
+    let ratio =
+        wall.sim.breakdown.inference.as_secs_f64() / virt.sim.breakdown.inference.as_secs_f64();
+    assert!(
+        (0.75..1.33).contains(&ratio),
+        "wall inference {:?} vs virtual {:?} (ratio {ratio:.3})",
+        wall.sim.breakdown.inference,
+        virt.sim.breakdown.inference,
     );
 }

@@ -12,7 +12,7 @@ use hercules_model::zoo::{ModelKind, ModelScale, RecModel};
 use hercules_runtime::{
     AdmissionPolicy, BatchPolicy, ClockMode, RuntimeConfig, ServingRuntime, StageKind,
 };
-use hercules_sim::{simulate, NmpLutCache, PlacementPlan, SimConfig, SlaSpec};
+use hercules_sim::{simulate, NmpLutCache, PlacementPlan, PlanError, SimConfig, SlaSpec};
 
 /// The quickstart scenario: RMC1 production on a T2 under the canonical
 /// CPU plan (what `examples/quickstart.rs` and the README lead with).
@@ -226,6 +226,27 @@ fn gpu_plan_with_dynamic_batching_runs_in_both_modes() {
     assert!(wall.conserves());
     assert!(wall.sim.completed > 0);
     assert!(wall.sim.gpu_activity > 0.0);
+}
+
+#[test]
+fn build_rejects_a_bad_wall_time_scale() {
+    let cfg = RuntimeConfig::from_sim(&sim_cfg(7));
+    let build = |time_scale: f64| {
+        ServingRuntime::build(
+            &rmc1(),
+            ServerType::T2.spec(),
+            &quickstart_plan(),
+            cfg.with_clock(ClockMode::Wall { time_scale }),
+            &NmpLutCache::new(),
+        )
+    };
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(
+            matches!(build(bad), Err(PlanError::BadTimeScale)),
+            "time_scale {bad} must be rejected"
+        );
+    }
+    assert!(build(0.25).is_ok(), "a positive finite scale builds");
 }
 
 proptest! {

@@ -182,6 +182,9 @@ pub enum PlanError {
     /// A throughput search was asked to start at a rate that is not
     /// positive and finite.
     BadSearchStart,
+    /// A wall-clock runtime was configured with a time scale that is not
+    /// positive and finite.
+    BadTimeScale,
 }
 
 impl fmt::Display for PlanError {
@@ -211,6 +214,9 @@ impl fmt::Display for PlanError {
             ),
             PlanError::BadSearchStart => {
                 write!(f, "search start rate must be positive and finite")
+            }
+            PlanError::BadTimeScale => {
+                write!(f, "wall-clock time scale must be positive and finite")
             }
         }
     }
