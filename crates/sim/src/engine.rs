@@ -59,14 +59,9 @@ impl<E> Ord for HeapEntry<E> {
 /// data-parallel split batch (`None`: the whole query flows as one unit).
 ///
 /// Shared by the simulator and the live serving runtime, so every execution
-/// backend forms identical sub-queries.
-pub fn split_sizes(size: u32, split_batch: Option<u32>) -> Vec<u32> {
-    split_iter(size, split_batch).collect()
-}
-
-/// Allocation-free form of [`split_sizes`]: yields the identical sub-query
-/// sizes as a `Copy` exact-size iterator, so the wall-clock dispatcher can
-/// form sub-queries on its hot path without touching the heap.
+/// backend forms identical sub-queries. A `Copy` exact-size iterator, so
+/// dispatchers form sub-queries on their hot path without touching the
+/// heap.
 pub fn split_iter(size: u32, split_batch: Option<u32>) -> SplitIter {
     let chunk = match split_batch {
         None => size.max(1),

@@ -36,8 +36,8 @@ pub mod service;
 pub use colocation::simulate_colocated;
 pub use config::{ColocationConfig, PlacementPlan, PlanError, SimConfig, SlaSpec, TenantSpec};
 pub use engine::{
-    simulate, simulate_cached, simulate_with_topology, split_iter, split_sizes, summarize_load,
-    Buckets, LoadSummary, MeasureWindow, SplitIter, POWER_BUCKETS,
+    simulate, simulate_cached, simulate_with_topology, split_iter, summarize_load, Buckets,
+    LoadSummary, MeasureWindow, SplitIter, POWER_BUCKETS,
 };
 // Re-exported so evaluation layers can own a LUT cache without depending on
 // `hercules-hw` directly.
